@@ -16,9 +16,12 @@ artifact so the perf trajectory is tracked per PR.
 
 from __future__ import annotations
 
+import ctypes
+import pickle
 import platform
 import sys
 import time
+from multiprocessing.sharedctypes import RawArray
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,8 @@ from repro.linalg.kernels import (  # noqa: E402
     largest_eigenvalue_cached,
 )
 from repro.linalg.packing import pack_gram, packed_length, unpack_gram  # noqa: E402
+from repro.mpi.ops import SUM  # noqa: E402
+from repro.mpi.process_backend import ProcessWorld  # noqa: E402
 from repro.mpi.virtual_backend import VirtualComm  # noqa: E402
 from repro.solvers.base import ConvergenceHistory, Terminator  # noqa: E402
 from repro.solvers.lasso import acc as acc_mod  # noqa: E402
@@ -214,6 +219,47 @@ def bench_eig_cache() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# kernel 5: the process backend's blocking deposit + read
+# ---------------------------------------------------------------------------
+
+
+def bench_process_blocking_deposit() -> dict:
+    k = 32 * 8  # s=32, mu=8: one packed Gram plus one projected column
+    n = packed_length(k, 1, True)
+    payload = np.random.default_rng(4).standard_normal(n)
+    out = np.empty(n)
+    slab_bytes = 1 << 22
+    slab = RawArray(ctypes.c_char, slab_bytes)
+
+    def before():
+        """The pickled-slab exchange: ctypes slice write, bytes read."""
+        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        slab[: len(data)] = data
+        got = pickle.loads(bytes(slab[: len(data)]))
+        SUM.fold_into([got], out)
+
+    with ProcessWorld(1, slab_bytes=slab_bytes) as world:
+        def fold(gathered):
+            return SUM.fold_into(gathered, out)
+
+        def after():
+            world.exchange(0, "Allreduce", payload, fold=fold)
+
+        # interleaved, so a slow host phase lands on both sides alike
+        b = a = float("inf")
+        for _ in range(8):
+            b = min(b, best_of(before, repeats=1, inner=2))
+            a = min(a, best_of(after, repeats=4, inner=20))
+    return _entry(
+        f"process blocking deposit ({n} doubles)", b, a,
+        "one rank's blocking Allreduce of an s=32, mu=8 packed Gram; "
+        "before = pickle into the shared slab through a ctypes slice and "
+        "unpickle a bytes copy, after = ProcessWorld.exchange (raw float64 "
+        "through numpy views of the slab, fold read in place, 2 barriers)",
+    )
+
+
+# ---------------------------------------------------------------------------
 # end to end: the Fig. 3 benchmark configuration
 # ---------------------------------------------------------------------------
 
@@ -253,6 +299,7 @@ def main() -> int:
         "sa_inner_loop_s16": bench_sa_inner_loop(16),
         "sa_inner_loop_s64": bench_sa_inner_loop(64),
         "eig_cache_repeat": bench_eig_cache(),
+        "process_blocking_deposit": bench_process_blocking_deposit(),
     }
     end_to_end = bench_end_to_end()
     payload = {

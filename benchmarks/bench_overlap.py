@@ -6,16 +6,16 @@ Three workloads:
 * **backend parity** — the same blocking SA solve on P thread ranks vs P
   forked process ranks (wall-clock). Thread ranks share one GIL for the
   Python-level inner loops; process ranks genuinely compute in parallel.
-  (On a single-core host the process backend instead pays fork + pickle
-  with no parallelism to win back — the entry records whatever the host
+  (On a single-core host the process backend instead pays fork + slab
+  copies with no parallelism to win back — the entry records whatever the host
   offers, honestly.)
 * **pipelined vs blocking** — `pipeline=True` SA solves against blocking
   ones on the process backend at several (s, mu, P) points, with an
   emulated per-collective transit latency (GbE-class, 2 ms): the
-  blocking path pays two barriers + pickled slab exchange + transit per
-  outer step on the critical path; the pipelined path posts the packed
-  Gram reduction nonblocking (raw shared-memory doubles, no pickle) and
-  samples + Gram-packs the next outer step while it is in flight.
+  blocking path pays two barriers + a shared-memory slab exchange (raw
+  doubles) + transit per outer step on the critical path; the pipelined
+  path posts the packed Gram reduction nonblocking and samples +
+  Gram-packs the next outer step while it is in flight.
 * **ledger honesty** — modelled costs at virtual P: the pipelined run
   must charge the identical traffic (messages/words/flops) and split the
   blocking run's comm seconds exactly into charged + hidden.
@@ -124,7 +124,7 @@ def bench_backend_parity(P: int = 4) -> dict:
         "identical blocking sa-accbcd solve; before = thread ranks (one "
         "GIL for the Python inner loops), after = forked process ranks "
         "(GIL-free). On single-core hosts the process backend pays "
-        "fork+pickle with no parallelism to win back, so this entry "
+        "fork + slab copies with no parallelism to win back, so this entry "
         "tracks the host's real parallelism honestly",
         cores=os.cpu_count(),
     )
@@ -153,7 +153,7 @@ def bench_pipeline_lasso(s: int, mu: int, P: int) -> dict:
         f"sa-accbcd pipelined (s={s}, mu={mu}, P={P})",
         blocking_t, pipelined_t,
         f"process backend, {LATENCY * 1e3:g} ms emulated transit per "
-        "collective; before = blocking Allreduce (2 barriers + pickled "
+        "collective; before = blocking Allreduce (2 barriers + raw float64 "
         "slabs + transit on the critical path per outer step), after = "
         "nonblocking pipelined reduction with the next block prefetched "
         "in flight",
@@ -249,9 +249,10 @@ def bench_latency_sweep(P: int = 2) -> dict:
                 "Tiny outer steps (s*mu ~ 4) hover around 1.0 at every "
                 "latency — there is too little prefetchable work per step "
                 "to hide the transit behind, and the double-buffer "
-                "bookkeeping eats what little is saved — while s*mu >= 32 "
-                "wins consistently and s*mu = 256 by ~1.4-1.5x. See README "
-                "'When does pipelining pay?'",
+                "bookkeeping eats what little is saved. Larger steps win "
+                "only what the blocking exchange costs beyond the raw-slab "
+                "copy and two barriers: mostly the emulated transit. See "
+                "README 'When does pipelining pay?'",
     }
 
 

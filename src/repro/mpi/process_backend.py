@@ -25,15 +25,20 @@ Semantics match :class:`~repro.mpi.thread_backend.ThreadComm` exactly:
   rank's wait sleeps only the *remainder* of that window, which is what
   lets computation before the wait genuinely hide the transit.
 
-Generic object collectives pickle payloads into fixed-capacity per-rank
-slabs (``slab_bytes``, default 4 MiB — raise it through
+Blocking collectives deposit each rank's payload into a fixed-capacity
+per-rank slab (``slab_bytes``, default 4 MiB — raise it through
 ``process_spmd_run(slab_bytes=)`` / ``ProcessWorld(slab_bytes=)`` for
-larger payloads); an oversized payload raises a
-:class:`~repro.errors.CommError` naming the payload size and the knob —
-and aborts the world so peers wake instead of parking on the barrier —
-rather than corrupting a neighbour's slab. Nonblocking payloads are raw
-float64 (the packed-Gram hot path) — no pickling on the pipelined
-critical path.
+larger payloads). A per-rank header says how to read the slab: a
+``float64`` ndarray (the packed-Gram hot path) is stored as raw doubles
+with its length, shape and memory order; anything else is pickled.
+Every rank decodes each peer's slab by *that peer's* kind marker, so
+ranks may mix arrays and objects exactly as with pickling alone. All
+slab, header and tag bytes move through numpy views of the shared
+arrays (a ctypes slice assignment copies one element at a time). An
+oversized payload raises a :class:`~repro.errors.CommError` naming the
+payload size and the knob — and aborts the world so peers wake instead
+of parking on the barrier — rather than corrupting a neighbour's slab.
+Nonblocking payloads are raw float64 too, through the slot ring.
 
 Teardown is exception-safe: a rank failing mid-collective (or the
 parent unwinding) aborts the world — broken barrier, woken nonblocking
@@ -107,6 +112,33 @@ __all__ = [
 
 _TAG_BYTES = 128
 
+#: per-rank blocking-exchange header (int64 words): kind, payload length
+#: (bytes for a pickle, doubles for raw), ndim, then up to
+#: ``_HDR_MAX_NDIM`` extents; deeper arrays take the pickled path
+_HDR_MAX_NDIM = 32
+_HDR_WORDS = 3 + _HDR_MAX_NDIM
+_KIND_PICKLE = 1
+_KIND_RAW_C = 2  # float64 ndarray, doubles in C order
+_KIND_RAW_F = 3  # float64 ndarray, doubles in Fortran order
+
+
+def _tag_view(raw) -> np.ndarray:
+    """``(size, _TAG_BYTES)`` uint8 view of a shared tag array."""
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, _TAG_BYTES)
+
+
+def _write_tag(tags: np.ndarray, rank: int, tag: str) -> None:
+    """Store ``tag`` in ``rank``'s row, zero-padded so a shorter tag never
+    inherits suffix bytes from the previous one."""
+    enc = tag.encode()[: _TAG_BYTES - 1]
+    row = tags[rank]
+    row[: len(enc)] = np.frombuffer(enc, dtype=np.uint8)
+    row[len(enc):] = 0
+
+
+def _read_tag(tags: np.ndarray, rank: int) -> bytes:
+    return tags[rank].tobytes().rstrip(b"\0")
+
 
 def _require_fork() -> mp.context.BaseContext:
     if "fork" not in mp.get_all_start_methods():
@@ -123,24 +155,15 @@ class _NbProcSlot:
     def __init__(self, ctx, size: int, seq: int, capacity_doubles: int) -> None:
         self.cond = ctx.Condition()
         self.capacity = capacity_doubles
-        self.payload = RawArray(ctypes.c_double, size * capacity_doubles)
+        self.payload = np.frombuffer(
+            RawArray(ctypes.c_double, size * capacity_doubles), dtype=np.float64
+        )
         self.lengths = RawArray(ctypes.c_longlong, size)
-        self.tags = RawArray(ctypes.c_char, size * _TAG_BYTES)
+        self.tags = _tag_view(RawArray(ctypes.c_char, size * _TAG_BYTES))
         self.seq = ctx.Value(ctypes.c_longlong, seq, lock=False)
         self.deposited = ctx.Value(ctypes.c_int, 0, lock=False)
         self.consumed = ctx.Value(ctypes.c_int, 0, lock=False)
         self.complete_at = ctx.Value(ctypes.c_double, 0.0, lock=False)
-
-    def _tag(self, rank: int) -> bytes:
-        raw = bytes(self.tags[rank * _TAG_BYTES:(rank + 1) * _TAG_BYTES])
-        return raw.rstrip(b"\0")
-
-    def _set_tag(self, rank: int, tag: str) -> None:
-        enc = tag.encode()[: _TAG_BYTES - 1]
-        self.tags[rank * _TAG_BYTES:rank * _TAG_BYTES + len(enc)] = enc
-        # zero-pad the remainder so a shorter tag never inherits suffix bytes
-        pad = _TAG_BYTES - len(enc)
-        self.tags[rank * _TAG_BYTES + len(enc):(rank + 1) * _TAG_BYTES] = b"\0" * pad
 
 
 class _ProcNbHandle:
@@ -169,9 +192,9 @@ class _ProcNbHandle:
         """Fold the deposited payloads (deterministic rank order)."""
         world, slot = self._world, self._slot
         n = int(slot.lengths[0])
-        flat = np.frombuffer(slot.payload, dtype=np.float64)
+        flat = slot.payload
         parts = [flat[r * slot.capacity:r * slot.capacity + n] for r in range(world.size)]
-        tags = [slot._tag(r) for r in range(world.size)]
+        tags = [_read_tag(slot.tags, r) for r in range(world.size)]
         lengths = [int(slot.lengths[r]) for r in range(world.size)]
         err = None
         if any(t != tags[0] for t in tags) or any(ln != n for ln in lengths):
@@ -248,10 +271,12 @@ class ProcessWorld:
     """Shared-memory state for one process-SPMD world.
 
     Created in the parent *before* forking; children inherit the mapped
-    arenas and synchronisation primitives. ``slab_bytes`` bounds one
-    rank's pickled payload per blocking collective; ``nb_doubles`` bounds
-    one rank's nonblocking float64 payload (defaults fit a packed
-    ``(s*mu)^2/2`` Gram up to s*mu ≈ 1000).
+    arenas, the numpy views over them and the synchronisation
+    primitives. ``slab_bytes`` bounds one rank's payload per blocking
+    collective — raw doubles for a ``float64`` ndarray, pickle bytes for
+    anything else, told apart by the rank's header (kind, length, ndim,
+    shape); ``nb_doubles`` bounds one rank's nonblocking float64 payload
+    (defaults fit a packed ``(s*mu)^2/2`` Gram up to s*mu ≈ 1000).
     """
 
     def __init__(
@@ -282,9 +307,19 @@ class ProcessWorld:
         self._arrive_gen = RawArray(ctypes.c_longlong, size)
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop: threading.Event | None = None
-        self._obj = RawArray(ctypes.c_char, size * self.slab_bytes)
-        self._obj_len = RawArray(ctypes.c_longlong, size)
-        self._tags = RawArray(ctypes.c_char, size * _TAG_BYTES)
+        obj = RawArray(ctypes.c_char, size * self.slab_bytes)
+        self._obj = np.frombuffer(obj, dtype=np.uint8).reshape(size, self.slab_bytes)
+        self._obj_f64 = [
+            np.frombuffer(
+                obj, dtype=np.float64, count=self.slab_bytes // 8,
+                offset=r * self.slab_bytes,
+            )
+            for r in range(size)
+        ]
+        self._hdr = np.frombuffer(
+            RawArray(ctypes.c_longlong, size * _HDR_WORDS), dtype=np.int64
+        ).reshape(size, _HDR_WORDS)
+        self._tags = _tag_view(RawArray(ctypes.c_char, size * _TAG_BYTES))
         self._nb_ring = [
             _NbProcSlot(ctx, size, seq, int(nb_doubles))
             for seq in range(self.nb_depth)
@@ -409,8 +444,8 @@ class ProcessWorld:
         for r in range(self.size):
             self._dead[r] = 0
             self._arrive_gen[r] = 0
-            self._obj_len[r] = 0
-        self._tags[:] = b"\0" * (self.size * _TAG_BYTES)
+        self._hdr[:] = 0
+        self._tags[:] = 0
         for i, slot in enumerate(self._nb_ring):
             with slot.cond:
                 slot.seq.value = i
@@ -419,14 +454,10 @@ class ProcessWorld:
                 slot.complete_at.value = 0.0
                 for r in range(self.size):
                     slot.lengths[r] = 0
-                slot.tags[:] = b"\0" * (self.size * _TAG_BYTES)
+                slot.tags[:] = 0
                 slot.cond.notify_all()
 
     # -- blocking exchange -------------------------------------------------
-    def _read_tag(self, rank: int) -> bytes:
-        raw = bytes(self._tags[rank * _TAG_BYTES:(rank + 1) * _TAG_BYTES])
-        return raw.rstrip(b"\0")
-
     def _barrier_wait(self, rank: int, tag: str, timeout: float | None) -> None:
         """One barrier arrival with an optional deadline.
 
@@ -464,52 +495,92 @@ class ProcessWorld:
                 ) from exc
             raise self._abort_error(rank, tag) from exc
 
-    def exchange(
-        self, rank: int, tag: str, obj: Any, fold=None, timeout: float | None = None
-    ) -> Any:
-        """Deposit, synchronise, snapshot (or fold), synchronise.
-
-        The process twin of :meth:`ThreadContext.exchange`: pickles the
-        payload into this rank's slab, barriers, reads every slab (so
-        each rank folds its *own copies* — deterministic and isolated),
-        barriers again so nobody overwrites a slab early. ``timeout``
-        bounds each barrier wait (see :meth:`_barrier_wait`).
-        """
-        payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if len(payload) > self.slab_bytes:
+    def _check_capacity(self, tag: str, what: str, nbytes: int) -> None:
+        if nbytes > self.slab_bytes:
             # the collective cannot proceed for anyone: wake peers that
             # already parked on the barrier instead of letting them sit
             # until the parent's timeout/terminate path fires
             self.abort()
             raise CommError(
-                f"collective {tag!r}: pickled payload of {len(payload)} "
+                f"collective {tag!r}: {what} payload of {nbytes} "
                 f"bytes exceeds the process backend's slab capacity "
                 f"(slab_bytes={self.slab_bytes}); raise slab_bytes= in "
                 "process_spmd_run / ProcessWorld"
             )
-        base = rank * self.slab_bytes
-        self._obj[base:base + len(payload)] = payload
-        self._obj_len[rank] = len(payload)
-        enc = tag.encode()[: _TAG_BYTES - 1]
-        self._tags[rank * _TAG_BYTES:rank * _TAG_BYTES + len(enc)] = enc
-        pad = _TAG_BYTES - len(enc)
-        self._tags[rank * _TAG_BYTES + len(enc):(rank + 1) * _TAG_BYTES] = b"\0" * pad
+
+    def _deposit(self, rank: int, tag: str, obj: Any) -> None:
+        """Write ``obj`` into this rank's slab, header and tag row."""
+        hdr = self._hdr[rank]
+        if (
+            type(obj) is np.ndarray
+            and obj.dtype == np.float64
+            and obj.ndim <= _HDR_MAX_NDIM
+        ):
+            self._check_capacity(tag, "float64", obj.nbytes)
+            fortran = obj.flags.f_contiguous and not obj.flags.c_contiguous
+            order = "F" if fortran else "C"
+            dst = self._obj_f64[rank][: obj.size].reshape(obj.shape, order=order)
+            np.copyto(dst, obj)
+            hdr[0] = _KIND_RAW_F if fortran else _KIND_RAW_C
+            hdr[1] = obj.size
+            hdr[2] = obj.ndim
+            hdr[3:3 + obj.ndim] = obj.shape
+        else:
+            payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            self._check_capacity(tag, "pickled", len(payload))
+            self._obj[rank, : len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+            hdr[0] = _KIND_PICKLE
+            hdr[1] = len(payload)
+        _write_tag(self._tags, rank, tag)
+
+    def _load(self, rank: int) -> tuple:
+        """``(raw, value)`` for ``rank``'s deposit: a read-only view into
+        its slab when ``raw``, else the unpickled object (a private copy)."""
+        kind, n, ndim = (int(v) for v in self._hdr[rank, :3])
+        if kind == _KIND_PICKLE:
+            return False, pickle.loads(memoryview(self._obj[rank, :n]))
+        shape = tuple(int(d) for d in self._hdr[rank, 3:3 + ndim])
+        order = "F" if kind == _KIND_RAW_F else "C"
+        view = self._obj_f64[rank][:n].reshape(shape, order=order)
+        view.flags.writeable = False
+        return True, view
+
+    def exchange(
+        self, rank: int, tag: str, obj: Any, fold=None, timeout: float | None = None
+    ) -> Any:
+        """Deposit, synchronise, snapshot (or fold), synchronise.
+
+        The process twin of :meth:`ThreadContext.exchange`: writes the
+        payload into this rank's slab (raw doubles for a ``float64``
+        ndarray, else a pickle), barriers, reads every slab by its
+        owner's header, barriers again so nobody overwrites a slab early.
+        ``fold`` runs in rank order directly on read-only views of the
+        peers' raw slabs (and on unpickled copies of the rest), so it must
+        return a new object, as :meth:`~repro.mpi.ops.Op.fold` and
+        ``fold_into`` do; without a fold every rank gets private copies,
+        never views a later collective would overwrite. ``timeout`` bounds
+        each barrier wait (see :meth:`_barrier_wait`).
+        """
+        self._deposit(rank, tag, obj)
         self._barrier_wait(rank, tag, timeout)
         try:
-            tags = [self._read_tag(r) for r in range(self.size)]
+            tags = [_read_tag(self._tags, r) for r in range(self.size)]
             if any(t != tags[0] for t in tags):
                 raise RankMismatchError(
                     "SPMD mismatch: ranks called different collectives "
                     f"{[t.decode() for t in tags]}"
                 )
-            gathered = [
-                pickle.loads(bytes(
-                    self._obj[r * self.slab_bytes:
-                              r * self.slab_bytes + int(self._obj_len[r])]
-                ))
-                for r in range(self.size)
-            ]
-            snapshot = fold(gathered) if fold is not None else gathered
+            loaded = [self._load(r) for r in range(self.size)]
+            if fold is None:
+                snapshot = [v.copy(order="K") if raw else v for raw, v in loaded]
+            else:
+                shapes = [v.shape for raw, v in loaded if raw]
+                if any(sh != shapes[0] for sh in shapes):
+                    raise RankMismatchError(
+                        f"SPMD mismatch: collective {tag!r} folded float64 "
+                        f"payloads of shapes {shapes}"
+                    )
+                snapshot = fold([v for _, v in loaded])
             if self.latency:
                 # emulated transit on the critical path (concurrent ranks)
                 time.sleep(self.latency)
@@ -563,10 +634,10 @@ class ProcessWorld:
                         tag=tag,
                     )
                 slot.cond.wait(0.05)
-            dst = np.frombuffer(slot.payload, dtype=np.float64)
-            dst[rank * slot.capacity:rank * slot.capacity + flat.shape[0]] = flat
+            base = rank * slot.capacity
+            slot.payload[base:base + flat.shape[0]] = flat
             slot.lengths[rank] = flat.shape[0]
-            slot._set_tag(rank, tag)
+            _write_tag(slot.tags, rank, tag)
             slot.deposited.value += 1
             if slot.deposited.value == self.size:
                 slot.complete_at.value = time.monotonic() + self.latency
@@ -618,9 +689,9 @@ class ProcessComm(Comm):
             raise
 
     def _exchange_fold(self, tag: str, obj: Any, fold) -> Any:
-        # the pickled slabs are private copies, so the fold is trivially
-        # safe against send-buffer reuse; run it between the barriers for
-        # symmetry with the thread backend
+        # each slab holds a copy of its rank's send buffer, so the fold is
+        # safe against send-buffer reuse; it runs between the barriers, so
+        # no peer overwrites a slab it is still reading
         try:
             return self._world.exchange(
                 self._rank, tag, obj, fold=fold, timeout=self._active_timeout
@@ -1321,11 +1392,11 @@ def process_spmd_run(
     *return value* must be picklable. Execution runs through a one-job
     :class:`WorkerPool` (shut down on exit, success or not).
 
-    ``slab_bytes`` bounds one rank's pickled payload per blocking
-    collective (default 4 MiB) and ``nb_doubles`` one rank's nonblocking
-    float64 payload; an oversized payload raises a :class:`CommError`
-    naming the size and the knob, and aborts the world so peers wake
-    instead of parking. Teardown is exception-safe: a rank raising
+    ``slab_bytes`` bounds one rank's payload (raw float64 or pickled)
+    per blocking collective (default 4 MiB) and ``nb_doubles`` one rank's
+    nonblocking float64 payload; an oversized payload raises a
+    :class:`CommError` naming the size and the knob, and aborts the world
+    so peers wake instead of parking. Teardown is exception-safe: a rank raising
     mid-collective aborts the world (broken barrier + woken nonblocking
     waiters), so every surviving rank exits deterministically and no
     forked child outlives the call.

@@ -221,18 +221,9 @@ class _Engine:
             self._avg_service = 0.5 * self._avg_service + 0.5 * float(dt)
 
     def _set_model(self, ten: _Tenant, res) -> None:
-        # model assembly is reporting/serving state, not modelled work;
-        # the SVM primal lives sharded (column partition), so gather it
-        with self.comm.ledger.paused():
-            if ten.spec.task == "svm":
-                shards = self.comm.allgather(
-                    np.asarray(res.x, dtype=np.float64).ravel()
-                )
-                model = np.concatenate(
-                    [np.asarray(s, dtype=np.float64).ravel() for s in shards]
-                )
-            else:
-                model = np.asarray(res.x, dtype=np.float64).copy()
+        # every solver returns the full primal on every rank (the SVM
+        # drivers gather their column-sharded x before returning)
+        model = np.asarray(res.x, dtype=np.float64).copy()
         ten.model = model
         ten.model_hash = _hash(model)
 

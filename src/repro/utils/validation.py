@@ -49,6 +49,8 @@ def check_dense_or_csr(A: Any, name: str = "A"):
         if A.ndim != 2:
             raise SolverError(f"{name} must be 2-D, got shape {A.shape}")
         A.sum_duplicates()
+        if not np.all(np.isfinite(A.data)):
+            raise SolverError(f"{name} contains non-finite entries")
         return A
     arr = np.asarray(A, dtype=np.float64)
     if arr.ndim != 2:

@@ -13,9 +13,18 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import CommAborted, CommError
+from repro.errors import CommAborted, CommError, RankMismatchError
 from repro.machine.spec import CRAY_XC30
-from repro.mpi.process_backend import ProcessComm, ProcessWorld, process_spmd_run
+from repro.mpi.ops import MAX, SUM
+from repro.mpi.process_backend import (
+    _KIND_PICKLE,
+    _KIND_RAW_C,
+    _KIND_RAW_F,
+    ProcessComm,
+    ProcessWorld,
+    WorkerPool,
+    process_spmd_run,
+)
 from repro.solvers.lasso import sa_acc_bcd
 from repro.solvers.svm import sa_dcd
 from spmd_collective_suite import (
@@ -163,6 +172,172 @@ class TestProcessSpecific:
                    record_every=0)
         assert proc.ledgers[0].messages == vc.ledger.messages
         assert proc.ledgers[0].words == pytest.approx(vc.ledger.words)
+
+
+def _payload(kind: str, r: int) -> np.ndarray:
+    """Rank ``r``'s float64 contribution of one layout ``kind``."""
+    rng = np.random.default_rng(r)
+    if kind == "0d":
+        return np.array(rng.standard_normal())
+    if kind == "empty":
+        return np.empty(0)
+    if kind == "empty2d":
+        return np.empty((0, 3))
+    if kind == "1d":
+        return rng.standard_normal(37)
+    if kind == "2d":
+        return rng.standard_normal((5, 7))
+    if kind == "strided":
+        return rng.standard_normal((8, 10))[:, ::3]
+    assert kind == "fortran"
+    return np.asfortranarray(rng.standard_normal((6, 4)))
+
+
+_LAYOUTS = ["0d", "empty", "empty2d", "1d", "2d", "strided", "fortran"]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+class TestBlockingExchange:
+    """The blocking exchange's two slab encodings: raw doubles for a
+    float64 ndarray, a pickle for anything else — chosen per rank."""
+
+    @pytest.mark.parametrize("kind", _LAYOUTS)
+    @pytest.mark.parametrize("op", [SUM, MAX], ids=["sum", "max"])
+    def test_allreduce_bit_identical_to_rank_order_fold(self, size, kind, op):
+        def fn(comm, r):
+            x = _payload(kind, r)
+            fresh = comm.Allreduce(x, op=op)
+            out = np.empty_like(x)
+            into = comm.Allreduce(x, op=op, out=out)
+            assert into is out
+            if x.size:
+                with pytest.raises(CommError, match="alias"):
+                    comm.Allreduce(x, op=op, out=x)
+            # a 0-d fold yields a numpy scalar, as the pickled path did
+            return (fresh, into, fresh.ndim == 0 or fresh.flags.writeable,
+                    np.may_share_memory(fresh, comm._world._obj),
+                    int(comm._world._hdr[r, 0]))
+
+        parts = [_payload(kind, r) for r in range(size)]
+        want = op.fold(parts)
+        for fresh, into, writeable, aliased, hdr_kind in (
+            process_spmd_run(fn, size).values
+        ):
+            for got in (fresh, into):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert writeable and not aliased
+            assert hdr_kind == (_KIND_RAW_F if kind == "fortran" else _KIND_RAW_C)
+
+    def test_non_float64_and_objects_take_the_pickled_path(self, size):
+        def fn(comm, r):
+            out = []
+            for obj in (np.arange(4) * (r + 1), np.ones(3, np.float32) * r,
+                        np.ones(2, dtype=">f8"), {"r": r}, np.float64(r)):
+                got = comm.allgather(obj)
+                # types are read here: the result pipe normalises byte order
+                out.append(([f"{type(g).__name__}:{getattr(g, 'dtype', '')}"
+                             for g in got], got, int(comm._world._hdr[r, 0])))
+            ints = comm.Allreduce(np.arange(4) * (r + 1))
+            return out, ints
+
+        for out, ints in process_spmd_run(fn, size).values:
+            assert [kind for _, _, kind in out] == [_KIND_PICKLE] * 5
+            types = [t for t, _, _ in out]
+            assert types == [["ndarray:int64"] * size,
+                             ["ndarray:float32"] * size,
+                             ["ndarray:>f8"] * size, ["dict:"] * size,
+                             ["float64:float64"] * size]
+            assert out[3][1] == [{"r": r} for r in range(size)]
+            assert ints.dtype == np.int64
+            assert ints.tolist() == (np.arange(4) * sum(range(1, size + 1))).tolist()
+
+    def test_mixed_ndarray_and_scalar_deposits(self, size):
+        def contrib(r):
+            return np.arange(3.0) + r if r == 0 else (2.0 if r == 1 else np.float64(r))
+
+        def fn(comm, r):
+            mine = contrib(r)
+            gathered = comm.allgather(mine)
+            reduced = comm.allreduce(mine)
+            folded = comm._exchange_fold("Allreduce", mine, SUM.fold)
+            return gathered, reduced, folded
+
+        want = SUM.fold([contrib(r) for r in range(size)])
+        for gathered, reduced, folded in process_spmd_run(fn, size).values:
+            assert isinstance(gathered[0], np.ndarray)
+            assert type(gathered[1]) is float
+            assert reduced.tobytes() == want.tobytes()
+            assert folded.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shapes", [((3,), (4,)), ((2, 3), (3, 2))],
+                             ids=["length", "shape"])
+    def test_raw_mismatch_raises_on_every_rank(self, size, shapes):
+        def fn(comm, r):
+            x = np.ones(shapes[r == size - 1])
+            try:
+                comm.Allreduce(x)
+            except RankMismatchError as exc:
+                caught = str(exc)
+            else:
+                caught = None
+            # both barriers were passed, so the world stays usable
+            return caught, comm.allreduce(1.0)
+
+        t0 = time.monotonic()
+        values = process_spmd_run(fn, size, timeout=60.0).values
+        assert time.monotonic() - t0 < 30.0
+        for caught, after in values:
+            assert caught is not None and "shapes" in caught
+            assert after == float(size)
+
+    def test_unfolded_results_are_copies(self, size):
+        def fn(comm, r):
+            g = comm.allgather(np.full(4, float(r)))
+            bc = comm.Bcast(np.full(3, 7.0 + r), root=0)
+            ga = comm.gather(np.full(2, float(r)), root=0)
+            comm.Allreduce(np.full(4, 99.0))
+            comm.allgather(np.full(4, -1.0))
+            comm.Bcast(np.full(3, -5.0), root=0)
+            comm.gather(np.full(2, -3.0), root=0)
+            return g, bc, ga
+
+        for rank, (g, bc, ga) in enumerate(process_spmd_run(fn, size).values):
+            assert [x.tolist() for x in g] == [[float(r)] * 4 for r in range(size)]
+            assert bc.tolist() == [7.0] * 3
+            if rank == 0:
+                assert [x.tolist() for x in ga] == [[float(r)] * 2 for r in range(size)]
+
+    def test_reset_clears_headers_and_recovered_job_runs(self, size):
+        def work(die):
+            def fn(comm, r):
+                ctx = comm.recovery
+                acc = np.zeros((2, 3), order="F")
+                start = 0
+                if ctx.resume is not None:
+                    start = ctx.resume["iteration"] + 1
+                    acc = np.asfortranarray(ctx.resume["acc"])
+                for i in range(start, 6):
+                    if die and r == size - 1 and i == 3 and ctx.recoveries == 0:
+                        os._exit(13)
+                    acc = acc + comm.Allreduce(np.asfortranarray(
+                        np.full((2, 3), float(r + i))))
+                    acc = acc + comm.allreduce(float(i))
+                    ctx.save({"iteration": i, "acc": acc})
+                return acc
+
+            return fn
+
+        with WorkerPool(size) as pool:
+            clean = pool.run(work(False))
+            world = pool.world
+            assert set(world._hdr[:, 0]) == {_KIND_PICKLE}
+            world.reset_for_reuse()
+            assert not world._hdr.any() and not world._tags.any()
+            res = pool.run(work(True), recover="checkpoint")
+            assert res.ledgers[0].recoveries == 1
+        for got, want in zip(res.values, clean.values):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestShutdownTeardown:

@@ -341,6 +341,44 @@ class TestEngineVirtual:
             serve_trace([s], [], recover="checkpoint", backend="virtual")
 
 
+class TestMultiRankModels:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_svm_predicts_on_two_ranks_match_virtual(self, backend, tmp_path):
+        """Every solver returns the full primal, so an SVM tenant's model
+        has ``n_features`` entries on any backend and its predictions
+        match the single-rank virtual run."""
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((40, 10))
+        b = np.sign(rng.standard_normal(40))
+        b[b == 0] = 1.0
+        specs = [
+            TenantSpec(name="s", A=A, b=b, m0=28, task="svm",
+                       knobs=dict(max_iter=80, tol=None, seed=0)),
+            _spec("l", m=40, n=10),
+        ]
+        trace = [TraceEvent(0.0, "s", op="append", rows=4),
+                 TraceEvent(0.0, "l", op="append", rows=4),
+                 TraceEvent(0.0, "s", op="predict", rows=6),
+                 TraceEvent(0.0, "l", op="predict", rows=6)]
+
+        def models(**kw):
+            ck = tmp_path / f"{kw['backend']}.ck.json"
+            rep = serve_trace(specs, trace, checkpoint_path=ck, **kw)
+            assert rep["totals"]["outcomes"]["completed"] == len(trace)
+            tenants = json.loads(ck.read_text())["tenants"]
+            return {n: np.asarray(t["model"]) for n, t in tenants.items()}
+
+        ref = models(backend="virtual")
+        got = models(backend=backend, ranks=2, run_timeout=120.0)
+        _assert_no_orphans()
+        for spec in specs:
+            model = got[spec.name]
+            assert model.shape == (spec.A.shape[1],)
+            X = spec.A[:6]
+            np.testing.assert_allclose(X @ model, X @ ref[spec.name],
+                                       rtol=0, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint / resume, recovery (process backend)
 # ---------------------------------------------------------------------------
