@@ -59,9 +59,9 @@ from repro.utils.io import atomic_write_json  # noqa: E402
 from repro.datasets import make_sparse_regression  # noqa: E402
 from repro.machine.spec import CRAY_XC30  # noqa: E402
 from repro.mpi.process_backend import process_spmd_run  # noqa: E402
-from repro.mpi.thread_backend import NB_RING_DEPTH  # noqa: E402
 from repro.mpi.virtual_backend import VirtualComm  # noqa: E402
 from repro.solvers.lasso import sa_acc_bcd  # noqa: E402
+from repro.solvers.outer import inflight_depth, ring_depth  # noqa: E402
 from repro.solvers.svm import sa_dcd  # noqa: E402
 
 OUT_PATH = REPO_ROOT / "BENCH_async.json"
@@ -112,7 +112,7 @@ def _entry(name: str, before: float, after: float, note: str, **extra) -> dict:
 
 
 def _nb_depth(tau: int) -> int:
-    return max(NB_RING_DEPTH, tau + 2)
+    return ring_depth(inflight_depth(async_=True, tau=tau))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
 from repro.solvers.lasso import acc_bcd, bcd, sa_acc_bcd, sa_bcd
 from repro.solvers.lasso.common import check_parity
+from repro.solvers.outer import inflight_depth, ring_depth
 from repro.solvers.svm import dcd, sa_dcd
 
 __all__ = ["fit_lasso", "fit_svm"]
@@ -252,7 +253,7 @@ def fit_lasso(
         work, backend=backend, ranks=ranks, machine=machine,
         cost_size=max(virtual_p, ranks), recover=recover,
         max_recoveries=max_recoveries,
-        nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+        nb_depth=ring_depth(inflight_depth(async_=async_, tau=tau)),
     )
 
 
@@ -355,5 +356,5 @@ def fit_svm(
         work, backend=backend, ranks=ranks, machine=machine,
         cost_size=max(virtual_p, ranks), recover=recover,
         max_recoveries=max_recoveries,
-        nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+        nb_depth=ring_depth(inflight_depth(async_=async_, tau=tau)),
     )

@@ -9,15 +9,17 @@ Two halves, cross-validated against each other and against runtime:
    executes in each mode ``{blocking, pipeline, async tau}``. This is
    the SPMD contract written down: every rank must produce exactly this
    sequence, or the world deadlocks.
-2. **Static extraction** — :func:`static_alphabet` partial-evaluates the
-   solver driver's AST against the mode flags (``async_``/``pipeline``)
-   and closes over a name-based call graph of the solver/linalg layers,
-   yielding the set of collective ops reachable in that mode. Branches
-   whose tests cannot be decided statically contribute both sides, so
-   extraction **over-approximates**: every op the runtime can execute is
-   in the alphabet (``runtime ⊆ static``), and mode flags that are
-   decidable (``async_=False`` kills the async arm) tighten it enough to
-   prove e.g. that the blocking path can never post an ``Iallreduce``.
+2. **Static extraction** — :func:`static_alphabet` walks the solver
+   root, then partial-evaluates the one shared outer driver
+   (:func:`repro.solvers.outer.run_outer`) against the mode's in-flight
+   ``depth`` (0 for blocking, nonzero otherwise), and closes over a
+   name-based call graph of the solver/linalg layers, yielding the set
+   of collective ops reachable in that mode. Branches whose tests cannot
+   be decided statically contribute both sides, so extraction
+   **over-approximates**: every op the runtime can execute is in the
+   alphabet (``runtime ⊆ static``), and the decidable ``depth`` test
+   kills the overlapped arm in blocking mode, which proves that the
+   blocking path can never post an ``Iallreduce``.
 
 ``tests/test_analyze_schedule.py`` closes the loop: the model sequence
 must equal the recorded runtime trace event-for-event (virtual and
@@ -66,12 +68,15 @@ _TAIL_EVENTS = {
     "svm": (AG_VEC,),
 }
 
-#: solver driver roots for static extraction
+#: solver roots for static extraction
 _ROOTS = {
     "lasso-plain": ("solvers/lasso/plain.py", "sa_bcd"),
     "lasso-acc": ("solvers/lasso/acc.py", "sa_acc_bcd"),
     "svm": ("solvers/svm/dcd.py", "sa_dcd"),
 }
+#: the outer driver every root delegates to; its ``depth`` test is the
+#: one mode branch
+_DRIVER = ("solvers/outer.py", "run_outer")
 
 #: packages (relative to the ``repro`` package root) whose function defs
 #: feed the call-graph index. The mpi backends are deliberately
@@ -151,19 +156,11 @@ def expected_schedule(
                 )
             )
             done += s_eff
-    elif mode == "pipeline":
-        # post(k) ... [prefetch(k+1); wait(k); inner(k); post(k+1)] ...
-        done = 0
-        for i, s_eff in enumerate(chunks):
-            events.append(NB_VEC)
-            events.extend(
-                _record_burst(
-                    family, done, s_eff, params.record_every, params.max_iter
-                )
-            )
-            done += s_eff
-    else:  # async: warmup posts, then harvest-oldest / post-next
-        w = min(params.tau + 1, len(chunks))
+    else:
+        # warmup posts, then harvest-oldest / post-next; pipelining is
+        # the depth-1 (tau = 0) case of the same driver
+        tau = params.tau if mode == "async" else 0
+        w = min(tau + 1, len(chunks))
         events.extend([NB_VEC] * w)
         done = 0
         for i, s_eff in enumerate(chunks):
@@ -221,14 +218,17 @@ def _direct_ops(node: ast.Call) -> str | None:
     return name
 
 
-def _shallow_calls(root: ast.AST) -> tuple[set[str], set[str]]:
-    """(direct collective ops, callee names) without entering nested defs."""
+def _shallow_calls(
+    root: ast.AST, nested: bool = False
+) -> tuple[set[str], set[str]]:
+    """(direct collective ops, callee names), entering nested defs only
+    when ``nested``."""
     ops: set[str] = set()
     callees: set[str] = set()
     stack = list(ast.iter_child_nodes(root))
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if not nested and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if isinstance(node, ast.Call):
             op = _direct_ops(node)
@@ -245,7 +245,9 @@ def _shallow_calls(root: ast.AST) -> tuple[set[str], set[str]]:
 @lru_cache(maxsize=1)
 def _call_index() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
     """name -> (direct collective ops, callee names), merged over all
-    same-named defs in the indexed packages."""
+    same-named defs in the indexed packages. A def's entry includes the
+    calls of the closures it defines: a factory's closures (the Lasso
+    ``_sa_io`` callbacks, ``checkpoint_emitter``) run for its caller."""
     index: dict[str, tuple[set[str], set[str]]] = {}
     base = _package_root()
     files: list[str] = []
@@ -264,7 +266,7 @@ def _call_index() -> dict[str, tuple[frozenset[str], frozenset[str]]]:
             tree = ast.parse(fh.read(), filename=path)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                ops, callees = _shallow_calls(node)
+                ops, callees = _shallow_calls(node, nested=True)
                 old_ops, old_callees = index.get(node.name, (set(), set()))
                 index[node.name] = (old_ops | ops, old_callees | callees)
     return {
@@ -340,11 +342,21 @@ def _visit_stmts(
         callees |= s_callees
 
 
+def _top_level_def(rel: str, func: str) -> ast.FunctionDef:
+    path = os.path.join(_package_root(), rel)
+    with open(path, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == func:
+            return node
+    raise ValueError(f"{rel} has no top-level function {func!r}")
+
+
 def static_alphabet(family: str, mode: str) -> set[str]:
     """Collective ops statically reachable in one solver mode.
 
-    Partial-evaluates the driver's mode conditionals
-    (``async_``/``pipeline``) and closes transitively over the
+    Walks the solver root, partial-evaluates the shared driver's
+    ``depth`` branch for the mode, and closes transitively over the
     solver/linalg call graph. Over-approximates (undecidable branches
     contribute both sides): the runtime trace's op set is always a
     subset of this alphabet.
@@ -353,25 +365,25 @@ def static_alphabet(family: str, mode: str) -> set[str]:
         raise ValueError(f"unknown family {family!r}; known: {FAMILIES}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; known: {MODES}")
-    rel, func = _ROOTS[family]
-    env = {"async_": mode == "async", "pipeline": mode == "pipeline"}
-
-    path = os.path.join(_package_root(), rel)
-    with open(path, "r", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read(), filename=path)
-    root = None
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name == func:
-            root = node
-            break
-    if root is None:
-        raise ValueError(f"{rel} has no top-level function {func!r}")
+    root = _top_level_def(*_ROOTS[family])
+    driver = _top_level_def(*_DRIVER)
 
     ops: set[str] = set()
     callees: set[str] = set()
     aliases: dict[str, set[str]] = {}
     local_defs: dict[str, tuple[set[str], set[str]]] = {}
-    _visit_stmts(root.body, env, ops, callees, aliases, local_defs)
+    _visit_stmts(root.body, {}, ops, callees, aliases, local_defs)
+    # the root's nested defs are callbacks it hands the driver: all of
+    # them are reachable
+    callees |= set(local_defs)
+    driver_callees: set[str] = set()
+    _visit_stmts(
+        driver.body, {"depth": mode != "blocking"},
+        ops, driver_callees, aliases, local_defs,
+    )
+    # the driver's callback parameters are whatever the root passed,
+    # already counted above: never resolve them by name
+    callees |= driver_callees - {a.arg for a in driver.args.kwonlyargs}
 
     # expand aliases (`step = _sa_outer_fast`): a call to the alias
     # reaches every function ever assigned to it
@@ -380,7 +392,9 @@ def static_alphabet(family: str, mode: str) -> set[str]:
         expanded |= aliases.get(name, set())
 
     index = _call_index()
-    seen: set[str] = set()
+    # the driver was just partial-evaluated: its merged index entry
+    # would reintroduce the arm the mode excludes
+    seen: set[str] = {driver.name}
     work = list(expanded)
     while work:
         name = work.pop()

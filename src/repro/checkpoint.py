@@ -191,6 +191,28 @@ def emit_solver_checkpoint(
         atomic_write_json(os.fspath(sink), payload)
 
 
+def checkpoint_emitter(
+    *, family: str, solver: str, seed: int, params: dict,
+    state: Callable[[], dict], term, history, comm, sink,
+) -> Callable[[int], None]:
+    """A solver's ``checkpoint(iteration)`` callback: assemble ``state()``
+    with the run's stopping, history and ledger state and deliver it to
+    ``sink`` (see :func:`make_solver_checkpoint`,
+    :func:`emit_solver_checkpoint`)."""
+
+    def checkpoint(iteration: int) -> None:
+        emit_solver_checkpoint(
+            make_solver_checkpoint(
+                family=family, solver=solver, iteration=iteration, seed=seed,
+                params=params, state=state(), term=term, history=history,
+                ledger=comm.ledger,
+            ),
+            sink, comm.rank,
+        )
+
+    return checkpoint
+
+
 def load_solver_checkpoint(
     source: dict | str | os.PathLike,
     *,

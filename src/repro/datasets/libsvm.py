@@ -6,7 +6,9 @@ the real files when they have them (the benchmark harness falls back to
 synthetic shape-matched generators when they are absent).
 
 Format: one sample per line, ``<label> <index>:<value> ...`` with 1-based
-indices by default; ``#`` starts a comment.
+indices by default; ``#`` starts a comment. Labels and values must be
+finite: ``nan``/``inf`` tokens raise :class:`~repro.errors.DatasetError`
+naming the line and token.
 """
 
 from __future__ import annotations
@@ -57,11 +59,16 @@ def load_libsvm(
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError as exc:
                 raise DatasetError(
                     f"line {lineno}: invalid label {parts[0]!r}"
                 ) from exc
+            if not np.isfinite(label):
+                raise DatasetError(
+                    f"line {lineno}: non-finite label {parts[0]!r}"
+                )
+            labels.append(label)
             prev_idx = -1
             for token in parts[1:]:
                 try:
@@ -72,6 +79,10 @@ def load_libsvm(
                     raise DatasetError(
                         f"line {lineno}: invalid feature token {token!r}"
                     ) from exc
+                if not np.isfinite(val):
+                    raise DatasetError(
+                        f"line {lineno}: non-finite feature value in {token!r}"
+                    )
                 if idx < 0:
                     raise DatasetError(
                         f"line {lineno}: feature index {idx_s} out of range "

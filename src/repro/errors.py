@@ -65,7 +65,8 @@ class NbRingDepthError(CommError):
     error is raised *before* blocking, deterministically on every rank
     (the check is against the posting rank's own unharvested handles).
     ``depth`` is the configured ring depth; raise it via the backends'
-    ``nb_depth=`` knob (the async solvers size it as ``tau + 2``).
+    ``nb_depth=`` knob (:func:`repro.solvers.outer.ring_depth` sizes it
+    for the SA solvers: ``tau + 2`` when async).
     """
 
     def __init__(self, message: str, *, depth: int = 0, outstanding: int = 0):

@@ -27,6 +27,7 @@ from repro.solvers import lasso as lasso_solvers
 from repro.solvers import svm as svm_solvers
 from repro.solvers.base import SolverResult
 from repro.solvers.objectives import lambda_from_sigma_min
+from repro.solvers.outer import inflight_depth, ring_depth
 from repro.utils.validation import nnz_of
 
 __all__ = [
@@ -309,7 +310,7 @@ def run_lasso(
         recover=recover, max_recoveries=max_recoveries,
         recovery_every=(s if s is not None else 8)
         if solver.startswith("sa-") else 10,
-        nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+        nb_depth=ring_depth(inflight_depth(async_=async_, tau=tau)),
     )
 
 
@@ -366,7 +367,7 @@ def run_svm(
         recover=recover, max_recoveries=max_recoveries,
         recovery_every=(s if s is not None else 8)
         if solver.startswith("sa-") else 10,
-        nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+        nb_depth=ring_depth(inflight_depth(async_=async_, tau=tau)),
     )
 
 

@@ -200,12 +200,12 @@ class GramPipeline:
 
     ``depth`` :class:`_PipeSlot` buffers rotate round-robin (default 2,
     the classic double buffer) so step k+1's pack never touches buffers
-    that step k's reduction (or inner loop) still reads. The
-    bounded-staleness drivers use ``depth = tau + 2`` to keep up to
-    ``tau + 1`` reductions in flight. Values are bit-identical to the
-    blocking ``gram_and_project`` / ``gram_rows_and_project`` path: same
-    sampled blocks, same partial products, same rank-ordered fold, same
-    unpack.
+    that step k's reduction (or inner loop) still reads. The SA outer
+    driver (:mod:`repro.solvers.outer`) sizes it with ``ring_depth``:
+    ``tau + 2`` keeps up to ``tau + 1`` reductions in flight. Values are
+    bit-identical to the blocking ``gram_and_project`` /
+    ``gram_rows_and_project`` path: same sampled blocks, same partial
+    products, same rank-ordered fold, same unpack.
     """
 
     def __init__(
@@ -516,7 +516,7 @@ class RowPartitionedMatrix(_PartitionedBase):
 
         The asynchronous counterpart of :meth:`gram_and_project`; see
         :class:`GramPipeline`. The default ``depth=2`` is the classic
-        double buffer; bounded-staleness drivers pass ``tau + 2``.
+        double buffer; the async SA driver passes ``tau + 2``.
         """
         return GramPipeline(self, extra_cols, symmetric, axis="cols", depth=depth)
 
@@ -696,8 +696,8 @@ class ColPartitionedMatrix(_PartitionedBase):
         The asynchronous counterpart of :meth:`gram_rows_and_project`;
         see :class:`GramPipeline`. As in the blocking path the caller
         adds ``gamma I`` after the reduction and reads ``R[:, 0]``. The
-        default ``depth=2`` is the classic double buffer;
-        bounded-staleness drivers pass ``tau + 2``.
+        default ``depth=2`` is the classic double buffer; the async SA
+        driver passes ``tau + 2``.
         """
         return GramPipeline(self, 1, symmetric, axis="rows", depth=depth)
 

@@ -41,7 +41,7 @@ __all__ = ["ThreadComm", "ThreadContext", "spmd_run", "SpmdResult"]
 #: default outstanding nonblocking collectives per world (double-buffered:
 #: the pipelined solvers keep at most one reduction in flight while packing
 #: the next payload into the other buffer; the async bounded-staleness
-#: solvers pass ``nb_depth = tau + 2`` for a deeper ring)
+#: solvers need ``nb_depth = tau + 2``: see repro.solvers.outer.ring_depth)
 NB_RING_DEPTH = 2
 
 

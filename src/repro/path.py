@@ -41,9 +41,9 @@ from repro.linalg.kernels import EigMemo, default_eig_memo
 from repro.machine.ledger import CostSnapshot
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
-from repro.mpi.thread_backend import NB_RING_DEPTH
 from repro.mpi.virtual_backend import VirtualComm
 from repro.solvers.base import SolverResult
+from repro.solvers.outer import inflight_depth, ring_depth
 from repro.solvers.serialization import result_from_dict, result_to_dict
 from repro.solvers.svm.duality import loss_params
 from repro.utils.io import atomic_write_json
@@ -550,7 +550,7 @@ def lasso_path(
             work, backend=backend, ranks=ranks, machine=machine,
             cost_size=max(virtual_p, ranks), recover=recover,
             max_recoveries=max_recoveries,
-            nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+            nb_depth=ring_depth(inflight_depth(async_=async_, tau=tau)),
         )
         return PathResult(
             task="lasso", lambdas=part["lambdas"], results=part["results"],
@@ -704,7 +704,7 @@ def svm_path(
             work, backend=backend, ranks=ranks, machine=machine,
             cost_size=max(virtual_p, ranks), recover=recover,
             max_recoveries=max_recoveries,
-            nb_depth=tau + 2 if async_ else NB_RING_DEPTH,
+            nb_depth=ring_depth(inflight_depth(async_=async_, tau=tau)),
         )
         return PathResult(
             task="svm", lambdas=part["lambdas"], results=part["results"],

@@ -62,7 +62,7 @@ from repro.linalg.kernels import EigMemo
 from repro.machine.spec import MachineSpec
 from repro.mpi.ops import MAX
 from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
+from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.serve.admission import AdmissionQueue
 from repro.serve.report import (
@@ -71,6 +71,7 @@ from repro.serve.report import (
     latency_stats,
 )
 from repro.serve.trace import load_trace, validate_trace
+from repro.solvers.outer import inflight_depth, ring_depth
 from repro.streaming import StreamingSweep, _cost_dict, _sum_cost_dicts
 from repro.utils.io import atomic_write_json
 from repro.utils.validation import nnz_of
@@ -722,11 +723,6 @@ def serve_trace(
     tenant runs asynchronously).
     """
     specs = list(tenants)
-    if nb_depth is None:
-        nb_depth = NB_RING_DEPTH
-        for spec in specs:
-            if spec.knobs.get("async_"):
-                nb_depth = max(nb_depth, int(spec.knobs.get("tau", 1)) + 2)
     if not specs:
         raise ServeError("serve_trace needs at least one tenant")
     seen = set()
@@ -753,6 +749,12 @@ def serve_trace(
             raise ServeError(
                 f"tenant {spec.name!r}: len(b) != rows of A"
             )
+    if nb_depth is None:
+        nb_depth = max(
+            ring_depth(inflight_depth(async_=bool(spec.knobs.get("async_")),
+                                      tau=int(spec.knobs.get("tau", 1))))
+            for spec in specs
+        )
     if isinstance(trace, (str, os.PathLike)):
         events = load_trace(trace)
     else:

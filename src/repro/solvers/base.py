@@ -12,11 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checkpoint import resume_solver
 from repro.errors import SolverError
 from repro.machine.ledger import CostSnapshot
 from repro.mpi.comm import Comm
 
 __all__ = [
+    "begin_solve",
     "ConvergenceHistory",
     "SolverResult",
     "Terminator",
@@ -54,6 +56,24 @@ def check_finite_iterate(solver: str, iteration: int, **vectors) -> None:
             f"{arr.ravel()[bad]!r}); reduce the step or increase "
             "regularisation"
         )
+
+def begin_solve(ck, metric, *, sampler, term, history, comm) -> tuple[int, bool]:
+    """``(done, converged)`` before a solver's first iteration.
+
+    Resumes from the checkpoint ``ck`` (replaying ``sampler``, restoring
+    ``term``/``history``/the ledger), or records ``metric()`` as
+    iteration 0 and asks ``term`` whether that already meets the
+    tolerance — in ``"objective"`` mode never, as there is nothing to
+    compare with yet.
+    """
+    if ck is not None:
+        done = resume_solver(
+            ck, sampler=sampler, term=term, history=history, ledger=comm.ledger
+        )
+        return done, False
+    history.record(0, metric(), comm)
+    return 0, term.done(history.final_metric)
+
 
 #: Per-inner-iteration fixed local overhead, in "fixed"-kind flops
 #: (0.5 GF/s => ~2.4 us): LAPACK eigensolve invocation, prox evaluation,

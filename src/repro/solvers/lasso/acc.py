@@ -59,11 +59,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkpoint import (
-    emit_solver_checkpoint,
+    checkpoint_emitter,
     load_solver_checkpoint,
-    make_solver_checkpoint,
     require_int_seed,
-    resume_solver,
     state_scalar,
     state_vector,
 )
@@ -81,6 +79,7 @@ from repro.solvers.base import (
     ConvergenceHistory,
     SolverResult,
     Terminator,
+    begin_solve,
     check_finite_iterate,
 )
 from repro.solvers.lasso.common import (
@@ -93,15 +92,38 @@ from repro.solvers.lasso.common import (
     theta_next,
     theta_schedule,
 )
-from repro.solvers.lasso.plain import _overlap_apply, _sa_plan
+from repro.solvers.lasso.plain import _overlap_apply, _sa_io
+from repro.solvers.outer import run_outer, schedule_depth
 from repro.utils.validation import nnz_of
 
 __all__ = ["acc_bcd", "sa_acc_bcd", "acc_cd", "sa_acc_cd"]
 
 
-def _init_acc_state(dist, b_local, x0):
-    """y0 = 0, z0 = x0 (so x_0 = z_0 regardless of theta_0)."""
+def _setup(A, b, penalty, comm, mu, seed, x0, checkpoint_every, resume_from):
+    """Shared start of :func:`acc_bcd`/:func:`sa_acc_bcd`: the distributed
+    problem, the ``y``/``z`` pair with their images ``ytil``/``ztil`` and
+    the momentum scalars ``theta``/``theta_used``, from ``x0`` (``y0 = 0``,
+    ``z0 = x0``, so ``x_0 = z_0`` regardless of theta_0) or from the
+    checkpoint ``resume_from``."""
+    if checkpoint_every or resume_from is not None:
+        require_int_seed(seed)
+    dist, b_local = setup_problem(A, b, comm)
+    pen = as_penalty(penalty)
     n = dist.shape[1]
+    ck = None
+    if resume_from is not None:
+        ck = load_solver_checkpoint(
+            resume_from, family="lasso-acc", seed=seed,
+            params={"n": n, "mu": mu},
+        )
+        y = state_vector(ck, "y", n)
+        z = state_vector(ck, "z", n)
+        with dist.comm.ledger.paused():
+            ytil = dist.matvec_local(y)
+            ztil = dist.matvec_local(z) - b_local
+        theta = state_scalar(ck, "theta")
+        theta_used = state_scalar(ck, "theta_used")
+        return dist, pen, ck, y, z, ytil, ztil, theta, theta_used
     if x0 is None:
         z = np.zeros(n)
         ztil = -b_local.copy()
@@ -112,7 +134,15 @@ def _init_acc_state(dist, b_local, x0):
         ztil = dist.matvec_local(z) - b_local
     y = np.zeros(n)
     ytil = np.zeros_like(b_local)
-    return y, z, ytil, ztil
+    return dist, pen, ck, y, z, ytil, ztil, mu / n, mu / n
+
+
+def _checkpointer(solver, dist, mu, seed, term, history, sink, state):
+    return checkpoint_emitter(
+        family="lasso-acc", solver=solver, seed=seed,
+        params={"n": dist.shape[1], "mu": mu}, state=state,
+        term=term, history=history, comm=dist.comm, sink=sink,
+    )
 
 
 def _acc_objective(dist, theta, y, z, ytil, ztil, pen):
@@ -150,44 +180,24 @@ def acc_bcd(
     the (replicated) ``y``/``z`` pair plus the momentum scalar ``theta``,
     and their images ``ytil``/``ztil`` are recomputed on resume.
     """
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    dist, b_local = setup_problem(A, b, comm)
-    pen = as_penalty(penalty)
+    dist, pen, ck, y, z, ytil, ztil, theta, theta_used = _setup(
+        A, b, penalty, comm, mu, seed, x0, checkpoint_every, resume_from
+    )
     n = dist.shape[1]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="lasso-acc", seed=seed,
-            params={"n": n, "mu": mu},
-        )
-        y = state_vector(ck, "y", n)
-        z = state_vector(ck, "z", n)
-        with dist.comm.ledger.paused():
-            ytil = dist.matvec_local(y)
-            ztil = dist.matvec_local(z) - b_local
-        theta = state_scalar(ck, "theta")
-        theta_resumed = state_scalar(ck, "theta_used")
-    else:
-        y, z, ytil, ztil = _init_acc_state(dist, b_local, x0)
-        theta = theta_resumed = mu / n
     sampler = make_sampler(n, mu, seed, pen)
     q = float(int(np.ceil(n / mu)))
     term = Terminator(max_iter, tol, "objective")
     history = ConvergenceHistory("objective")
-    if ck is not None:
-        start = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-    else:
-        start = 0
-        history.record(0, _acc_objective(dist, theta, y, z, ytil, ztil, pen), dist.comm)
-        term.done(history.final_metric)
+    start, converged = begin_solve(
+        ck, lambda: _acc_objective(dist, theta, y, z, ytil, ztil, pen),
+        sampler=sampler, term=term, history=history, comm=dist.comm,
+    )
+    checkpoint = _checkpointer(
+        f"accbcd(mu={mu})", dist, mu, seed, term, history, checkpoint_sink,
+        lambda: {"y": y, "z": z, "theta": theta, "theta_used": theta_used},
+    )
 
     h = start
-    converged = False
-    theta_used = theta_resumed
     for h in range(start + 1, max_iter + 1):
         idx = sampler.next_block()
         S = dist.sample_columns(idx)
@@ -225,16 +235,7 @@ def acc_bcd(
                 break
         theta = theta_new
         if checkpoint_every and h % checkpoint_every == 0:
-            emit_solver_checkpoint(
-                make_solver_checkpoint(
-                    family="lasso-acc", solver=f"accbcd(mu={mu})",
-                    iteration=h, seed=seed, params={"n": n, "mu": mu},
-                    state={"y": y, "z": z, "theta": theta,
-                           "theta_used": theta_used},
-                    term=term, history=history, ledger=dist.comm.ledger,
-                ),
-                checkpoint_sink, dist.comm.rank,
-            )
+            checkpoint(h)
     if not record_every:
         history.record(
             h, _acc_objective(dist, theta_used, y, z, ytil, ztil, pen), dist.comm
@@ -588,191 +589,58 @@ def sa_acc_bcd(
     modes share the exact scalar loop. ``parity`` has no effect with
     ``fast=False``.
 
-    ``pipeline=True`` makes the one synchronization per outer step
-    *asynchronous*: the packed reduction of ``G = Y^T Y`` and
-    ``Y^T [ytil, ztil]`` is posted nonblocking, and the next outer
-    step's sampled block and partial Gram are computed while it is in
-    flight (double-buffered; the residual-dependent projections are
-    packed after the current inner loop finishes). Identical iterates,
-    identical message counts; the modelled ledger charges only the
-    unoverlapped latency remainder.
-
-    ``async_=True`` keeps up to ``tau + 1`` reductions in flight and
-    harvests the oldest, so outer step ``k`` runs against ``[ytil,
-    ztil]`` projections up to ``tau`` outer steps stale (the momentum
-    schedule ``thetas`` is still computed fresh at harvest). Weaker
-    contract than ``pipeline``: convergence to the synchronous
-    objective within tolerance, not bit-parity — except ``tau=0``,
-    which reproduces the pipelined schedule bit for bit. See
-    :func:`repro.solvers.lasso.plain.sa_bcd` for the staleness
-    accounting (``stale_seconds`` / ``max_staleness``) and the
-    ``nb_depth = tau + 2`` communicator ring requirement. Mutually
-    exclusive with ``pipeline``. ``eig_memo`` supplies a private
-    eigenvalue memo for the fused loops (default: the shared
-    process-wide memo).
+    ``pipeline``/``async_``/``tau`` pick the outer-step schedule (see
+    :mod:`repro.solvers.outer`). What an async step sees stale is the
+    ``Y^T [ytil, ztil]`` projections it was posted with; the momentum
+    schedule ``thetas`` is still computed fresh at harvest. ``eig_memo``
+    supplies a private eigenvalue memo for the fused loops (default: the
+    shared process-wide memo).
     """
-    if s < 1:
-        raise SolverError(f"s must be >= 1, got {s}")
-    if tau < 0:
-        raise SolverError(f"tau must be >= 0, got {tau}")
-    if async_ and pipeline:
-        raise SolverError(
-            "async_=True and pipeline=True are mutually exclusive: "
-            "pipelining is the tau=0 special case of async_"
-        )
+    depth = schedule_depth(s, pipeline, async_, tau)
     check_parity(parity)
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    dist, b_local = setup_problem(A, b, comm)
-    pen = as_penalty(penalty)
+    dist, pen, ck, y, z, ytil, ztil, theta, theta_used = _setup(
+        A, b, penalty, comm, mu, seed, x0, checkpoint_every, resume_from
+    )
     n = dist.shape[1]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="lasso-acc", seed=seed,
-            params={"n": n, "mu": mu},
-        )
-        y = state_vector(ck, "y", n)
-        z = state_vector(ck, "z", n)
-        with dist.comm.ledger.paused():
-            ytil = dist.matvec_local(y)
-            ztil = dist.matvec_local(z) - b_local
-        theta = state_scalar(ck, "theta")
-        theta_resumed = state_scalar(ck, "theta_used")
-    else:
-        y, z, ytil, ztil = _init_acc_state(dist, b_local, x0)
-        theta = theta_resumed = mu / n
     sampler = make_sampler(n, mu, seed, pen)
     q = float(int(np.ceil(n / mu)))
     term = Terminator(max_iter, tol, "objective")
     history = ConvergenceHistory("objective")
-    if ck is not None:
-        done = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-    else:
-        done = 0
-        history.record(0, _acc_objective(dist, theta, y, z, ytil, ztil, pen), dist.comm)
-        term.done(history.final_metric)
-
     if not fast:
-        step = _sa_acc_outer_naive
+        inner = _sa_acc_outer_naive
     elif parity == "fp-tolerant":
-        step = _sa_acc_outer_fp
+        inner = _sa_acc_outer_fp
     else:
-        step = _sa_acc_outer_fast
-    converged = False
-    theta_used = theta_resumed
+        inner = _sa_acc_outer_fast
 
-    def _checkpoint(prev_done: int) -> None:
-        if not checkpoint_every or converged:
-            return
-        if done // checkpoint_every == prev_done // checkpoint_every:
-            return
-        emit_solver_checkpoint(
-            make_solver_checkpoint(
-                family="lasso-acc", solver=f"sa-accbcd(mu={mu}, s={s})",
-                iteration=done, seed=seed, params={"n": n, "mu": mu},
-                state={"y": y, "z": z, "theta": theta,
-                       "theta_used": theta_used},
-                term=term, history=history, ledger=dist.comm.ledger,
-            ),
-            checkpoint_sink, dist.comm.rank,
-        )
+    vectors = [ytil, ztil]
+    plan, fetch, make_pipe = _sa_io(dist, sampler, vectors, symmetric_pack)
 
-    if async_ and done < max_iter:
-        pipe = dist.gram_pipeline(
-            extra_cols=2, symmetric=symmetric_pack, depth=tau + 2
+    def step(p, Y, G, R, done):
+        nonlocal theta, theta_used
+        # the whole outer step's thetas depend only on theta_sk (Alg. 2
+        # line 9), known fresh at harvest
+        thetas = theta_schedule(theta, len(p[0]))
+        converged, done, theta, theta_used = inner(
+            dist, pen, Y, G, R, *p, thetas, q,
+            y, z, ytil, ztil, done, max_iter, record_every, term, history,
+            memo=eig_memo,
         )
-        planned = done
-        inflight = []  # FIFO of (plan, slot); oldest harvested first
-        while len(inflight) <= tau and planned < max_iter:
-            plan = _sa_plan(sampler, min(s, max_iter - planned))
-            pslot = pipe.prefetch(np.concatenate(plan[0]))
-            pipe.post(pslot, [ytil, ztil])
-            inflight.append((plan, pslot))
-            planned += len(plan[0])
-        while inflight:
-            nxt = nslot = None
-            if planned < max_iter:
-                nxt = _sa_plan(sampler, min(s, max_iter - planned))
-                nslot = pipe.prefetch(np.concatenate(nxt[0]))
-                planned += len(nxt[0])
-            cur, slot = inflight.pop(0)
-            Y, G, R = pipe.wait(slot)
-            blocks, widths, offsets = cur
-            # thetas depend only on theta_sk, known fresh at harvest
-            thetas = theta_schedule(theta, len(blocks))
-            prev_done = done
-            converged, done, theta, theta_used = step(
-                dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-                y, z, ytil, ztil, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            # this step supersedes the projections carried by every
-            # reduction still in flight: age them one harvest point
-            for _, pending in inflight:
-                pending.req.bump_staleness()
-            _checkpoint(prev_done)
-            if converged:
-                break
-            if nxt is not None:
-                pipe.post(nslot, [ytil, ztil])
-                inflight.append((nxt, nslot))
-        # drain unconsumed reductions: traffic is charged at finalize and
-        # the ring is left clean for communicator reuse
-        for _, pending in inflight:
-            pending.req.wait()
-            pending.req = None
-    elif pipeline and done < max_iter:
-        pipe = dist.gram_pipeline(extra_cols=2, symmetric=symmetric_pack)
-        cur = _sa_plan(sampler, min(s, max_iter - done))
-        slot = pipe.prefetch(np.concatenate(cur[0]))
-        pipe.post(slot, [ytil, ztil])
-        while True:
-            nxt = nslot = None
-            remaining = max_iter - done - len(cur[0])
-            if remaining > 0:
-                # overlapped with the in-flight reduction
-                nxt = _sa_plan(sampler, min(s, remaining))
-                nslot = pipe.prefetch(np.concatenate(nxt[0]))
-            Y, G, R = pipe.wait(slot)
-            blocks, widths, offsets = cur
-            # thetas depend only on theta_sk (Alg. 2 line 9)
-            thetas = theta_schedule(theta, len(blocks))
-            prev_done = done
-            converged, done, theta, theta_used = step(
-                dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-                y, z, ytil, ztil, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            _checkpoint(prev_done)
-            if converged or nxt is None:
-                break
-            pipe.post(nslot, [ytil, ztil])
-            cur, slot = nxt, nslot
-    else:
-        while done < max_iter and not converged:
-            s_eff = min(s, max_iter - done)
-            blocks, widths, offsets = _sa_plan(sampler, s_eff)
-            all_idx = np.concatenate(blocks)
-            # thetas for the whole outer step depend only on theta_sk (Alg. 2 line 9)
-            thetas = theta_schedule(theta, s_eff)
-            Y = dist.sample_columns(all_idx)
-            # one message: G = Y^T Y and Y^T [ytil, ztil]  (Alg. 2 lines 11-12)
-            G, R = dist.gram_and_project(Y, [ytil, ztil], symmetric=symmetric_pack)
-            prev_done = done
-            converged, done, theta, theta_used = step(
-                dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-                y, z, ytil, ztil, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            _checkpoint(prev_done)
-    if not record_every or history.iterations[-1] != done:
-        history.record(
-            done, _acc_objective(dist, theta_used, y, z, ytil, ztil, pen), dist.comm
-        )
+        return converged, done
+
+    converged, done = run_outer(
+        depth=depth, s=s, max_iter=max_iter, resume=ck, sampler=sampler,
+        term=term, history=history, comm=dist.comm,
+        metric=lambda: _acc_objective(dist, theta_used, y, z, ytil, ztil, pen),
+        record_every=record_every, plan=plan, fetch=fetch,
+        make_pipe=make_pipe, vectors=vectors, step=step,
+        checkpoint_every=checkpoint_every,
+        checkpoint=_checkpointer(
+            f"sa-accbcd(mu={mu}, s={s})", dist, mu, seed, term, history,
+            checkpoint_sink,
+            lambda: {"y": y, "z": z, "theta": theta, "theta_used": theta_used},
+        ),
+    )
 
     t2 = theta_used * theta_used
     x = t2 * y + z

@@ -26,11 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checkpoint import (
-    emit_solver_checkpoint,
+    checkpoint_emitter,
     load_solver_checkpoint,
-    make_solver_checkpoint,
     require_int_seed,
-    resume_solver,
     state_vector,
 )
 from repro.errors import SolverError
@@ -46,6 +44,7 @@ from repro.solvers.base import (
     ConvergenceHistory,
     SolverResult,
     Terminator,
+    begin_solve,
     check_finite_iterate,
 )
 from repro.solvers.lasso.common import (
@@ -55,13 +54,34 @@ from repro.solvers.lasso.common import (
     make_sampler,
     setup_problem,
 )
+from repro.solvers.outer import run_outer, schedule_depth
 
 __all__ = ["bcd", "sa_bcd", "cd", "sa_cd"]
 
 
-def _init_state(dist, b_local, x0):
+def _setup(A, b, penalty, comm, mu, seed, x0, max_iter, tol,
+           checkpoint_every, resume_from):
+    """Shared start of :func:`bcd`/:func:`sa_bcd`: the distributed
+    problem, the iterate ``x`` and partitioned residual (from ``x0`` or
+    the checkpoint ``resume_from``), the sampler and stopping state."""
+    if checkpoint_every or resume_from is not None:
+        require_int_seed(seed)
+    dist, b_local = setup_problem(A, b, comm)
+    pen = as_penalty(penalty)
     n = dist.shape[1]
-    if x0 is None:
+    ck = None
+    if resume_from is not None:
+        ck = load_solver_checkpoint(
+            resume_from, family="lasso-plain", seed=seed,
+            params={"n": n, "mu": mu},
+        )
+        x = state_vector(ck, "x", n)
+        # the partitioned residual is recomputed from the replicated
+        # iterate (instrumentation-free: the uninterrupted run carried it
+        # incrementally and was charged during the iterations)
+        with dist.comm.ledger.paused():
+            r_local = dist.matvec_local(x) - b_local
+    elif x0 is None:
         x = np.zeros(n)
         r_local = -b_local.copy()
     else:
@@ -69,7 +89,18 @@ def _init_state(dist, b_local, x0):
         if x.shape[0] != n:
             raise SolverError(f"x0 must have length {n}, got {x.shape[0]}")
         r_local = dist.matvec_local(x) - b_local
-    return x, r_local
+    return (
+        dist, pen, ck, x, r_local, make_sampler(n, mu, seed, pen),
+        Terminator(max_iter, tol, "objective"), ConvergenceHistory("objective"),
+    )
+
+
+def _checkpointer(solver, dist, mu, seed, x, term, history, sink):
+    return checkpoint_emitter(
+        family="lasso-plain", solver=solver, seed=seed,
+        params={"n": dist.shape[1], "mu": mu}, state=lambda: {"x": x},
+        term=term, history=history, comm=dist.comm, sink=sink,
+    )
 
 
 def _overlap_apply(idx_j: np.ndarray, idx_t: np.ndarray, delta_t: np.ndarray) -> np.ndarray:
@@ -123,40 +154,19 @@ def bcd(
         A checkpoint payload dict or JSON path to continue from; the run
         picks up at the checkpointed iteration with the same stream.
     """
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    dist, b_local = setup_problem(A, b, comm)
-    pen = as_penalty(penalty)
-    n = dist.shape[1]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="lasso-plain", seed=seed,
-            params={"n": n, "mu": mu},
-        )
-        x = state_vector(ck, "x", n)
-        # the partitioned residual is recomputed from the replicated
-        # iterate (instrumentation-free: the uninterrupted run carried it
-        # incrementally and was charged during the iterations)
-        with dist.comm.ledger.paused():
-            r_local = dist.matvec_local(x) - b_local
-    else:
-        x, r_local = _init_state(dist, b_local, x0)
-    sampler = make_sampler(n, mu, seed, pen)
-    term = Terminator(max_iter, tol, "objective")
-    history = ConvergenceHistory("objective")
-    if ck is not None:
-        start = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-    else:
-        start = 0
-        history.record(0, distributed_objective(dist, r_local, x, pen), dist.comm)
-        term.done(history.final_metric)
+    dist, pen, ck, x, r_local, sampler, term, history = _setup(
+        A, b, penalty, comm, mu, seed, x0, max_iter, tol, checkpoint_every,
+        resume_from,
+    )
+    start, converged = begin_solve(
+        ck, lambda: distributed_objective(dist, r_local, x, pen),
+        sampler=sampler, term=term, history=history, comm=dist.comm,
+    )
+    checkpoint = _checkpointer(
+        f"bcd(mu={mu})", dist, mu, seed, x, term, history, checkpoint_sink
+    )
 
     h = start
-    converged = False
     for h in range(start + 1, max_iter + 1):
         idx = sampler.next_block()
         S = dist.sample_columns(idx)
@@ -180,15 +190,7 @@ def bcd(
                 converged = True
                 break
         if checkpoint_every and h % checkpoint_every == 0:
-            emit_solver_checkpoint(
-                make_solver_checkpoint(
-                    family="lasso-plain", solver=f"bcd(mu={mu})",
-                    iteration=h, seed=seed, params={"n": n, "mu": mu},
-                    state={"x": x}, term=term, history=history,
-                    ledger=dist.comm.ledger,
-                ),
-                checkpoint_sink, dist.comm.rank,
-            )
+            checkpoint(h)
     if not record_every:
         history.record(h, distributed_objective(dist, r_local, x, pen), dist.comm)
 
@@ -441,12 +443,31 @@ def _sa_inner_scalar(
     return False, done + s_eff
 
 
-def _sa_plan(sampler, s_eff: int) -> tuple:
-    """Sample one outer step's blocks: (blocks, widths, offsets)."""
-    blocks = [sampler.next_block() for _ in range(s_eff)]
-    widths = [int(blk.shape[0]) for blk in blocks]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-    return blocks, widths, offsets
+def _sa_io(dist, sampler, vectors, symmetric):
+    """The Lasso families' ``plan``/``fetch``/``make_pipe`` callbacks for
+    :func:`~repro.solvers.outer.run_outer`. ``plan`` samples one outer
+    step's blocks as ``(blocks, widths, offsets)``; ``fetch`` reduces
+    their Gram ``Y^T Y`` and projections ``Y^T [vectors]`` in one
+    blocking message (Alg. 2 lines 11-12); ``make_pipe`` builds the
+    nonblocking pipeline that does the same."""
+
+    def plan(k):
+        blocks = [sampler.next_block() for _ in range(k)]
+        widths = [int(blk.shape[0]) for blk in blocks]
+        offsets = np.concatenate([[0], np.cumsum(widths)])
+        return (blocks, widths, offsets), np.concatenate(blocks)
+
+    def fetch(idx):
+        Y = dist.sample_columns(idx)
+        G, R = dist.gram_and_project(Y, vectors, symmetric=symmetric)
+        return Y, G, R
+
+    def make_pipe(ring):
+        return dist.gram_pipeline(
+            extra_cols=len(vectors), symmetric=symmetric, depth=ring
+        )
+
+    return plan, fetch, make_pipe
 
 
 def sa_bcd(
@@ -484,195 +505,52 @@ def sa_bcd(
     one prefix Gram apply per inner iteration (BLAS re-association,
     <= 1e-9 relative iterate drift).
 
-    ``pipeline=True`` posts each outer step's packed Gram reduction as a
-    *nonblocking* Allreduce and samples + Gram-packs the next outer
-    step's block while it is in flight (double-buffered), hiding the
-    collective's latency behind computation. Same sampled blocks, same
-    rank-ordered fold — the iterate sequence is unchanged, and the
-    modelled ledger charges only the unoverlapped latency remainder.
-    The prefetch is speculative: a run that converges via ``tol``
-    mid-step has already sampled + Gram-packed one block it will never
-    use, and the ledger honestly charges that extra local work (traffic
-    is never speculated — the unused block is never posted).
-
-    ``async_=True`` goes further: up to ``tau + 1`` outer-step reductions
-    stay in flight, each posted with the residual current at its post
-    time, and the driver harvests the *oldest* instead of blocking on the
-    newest — outer step ``k`` therefore runs its inner loop against a
-    residual up to ``tau`` steps stale (deterministic bounded staleness:
-    step ``k`` sees the residual of step ``max(0, k - tau)``). The
-    contract is deliberately weaker than the pipelined path's bit-parity:
-    the iterate sequence *differs* from the synchronous one, and what is
-    guaranteed (and tested, ``tests/test_async.py``) is convergence to
-    the synchronous reference's objective within tolerance. ``tau=0``
-    degenerates to the pipelined schedule bit for bit — same sampler
-    stream, same op order, same ledger. The ledger splits each in-flight
-    reduction's overlapped transit into fresh (``comm_seconds_hidden``)
-    and superseded (``stale_seconds``) windows and records the observed
-    staleness watermark (``max_staleness``). Mutually exclusive with
-    ``pipeline``; needs a communicator ring of ``tau + 2`` nonblocking
-    slots (``nb_depth`` on the thread/process backends — exceeding it
-    raises :class:`~repro.errors.NbRingDepthError`).
-    ``eig_memo`` supplies a private eigenvalue memo for the fused loops
-    (default: the shared process-wide memo).
+    ``pipeline``/``async_``/``tau`` pick the outer-step schedule (blocking,
+    pipelined, or bounded-staleness async; see :mod:`repro.solvers.outer`).
+    What an async step sees stale is the residual ``r`` it was posted
+    with. ``eig_memo`` supplies a private eigenvalue memo for the fused
+    loops (default: the shared process-wide memo).
 
     ``checkpoint_every``/``checkpoint_sink``/``resume_from`` follow
     :func:`bcd`; SA runs checkpoint at the outer-step boundary that
     crosses each cadence multiple, and a checkpoint written by either
     solver resumes under the other (the sampler stream is per-draw).
     """
-    if s < 1:
-        raise SolverError(f"s must be >= 1, got {s}")
-    if tau < 0:
-        raise SolverError(f"tau must be >= 0, got {tau}")
-    if async_ and pipeline:
-        raise SolverError(
-            "async_=True and pipeline=True are mutually exclusive: "
-            "pipelining is the tau=0 special case of async_"
-        )
+    depth = schedule_depth(s, pipeline, async_, tau)
     check_parity(parity)
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    dist, b_local = setup_problem(A, b, comm)
-    pen = as_penalty(penalty)
-    n = dist.shape[1]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="lasso-plain", seed=seed,
-            params={"n": n, "mu": mu},
-        )
-        x = state_vector(ck, "x", n)
-        with dist.comm.ledger.paused():
-            r_local = dist.matvec_local(x) - b_local
-    else:
-        x, r_local = _init_state(dist, b_local, x0)
-    sampler = make_sampler(n, mu, seed, pen)
-    term = Terminator(max_iter, tol, "objective")
-    history = ConvergenceHistory("objective")
-    if ck is not None:
-        done = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-    else:
-        done = 0
-        history.record(0, distributed_objective(dist, r_local, x, pen), dist.comm)
-        term.done(history.final_metric)
-
+    dist, pen, ck, x, r_local, sampler, term, history = _setup(
+        A, b, penalty, comm, mu, seed, x0, max_iter, tol, checkpoint_every,
+        resume_from,
+    )
     if not fast:
-        step = _sa_outer_naive
+        inner = _sa_outer_naive
     elif parity == "fp-tolerant":
-        step = _sa_outer_fp
+        inner = _sa_outer_fp
     else:
-        step = _sa_outer_fast
-    converged = False
+        inner = _sa_outer_fast
 
-    def _checkpoint(prev_done: int) -> None:
-        if not checkpoint_every or converged:
-            return
-        if done // checkpoint_every == prev_done // checkpoint_every:
-            return
-        emit_solver_checkpoint(
-            make_solver_checkpoint(
-                family="lasso-plain", solver=f"sa-bcd(mu={mu}, s={s})",
-                iteration=done, seed=seed, params={"n": n, "mu": mu},
-                state={"x": x}, term=term, history=history,
-                ledger=dist.comm.ledger,
-            ),
-            checkpoint_sink, dist.comm.rank,
+    vectors = [r_local]
+    plan, fetch, make_pipe = _sa_io(dist, sampler, vectors, symmetric_pack)
+
+    def step(p, Y, G, R, done):
+        return inner(
+            dist, pen, Y, G, R, *p,
+            x, r_local, done, max_iter, record_every, term, history,
+            memo=eig_memo,
         )
 
-    if async_ and done < max_iter:
-        pipe = dist.gram_pipeline(
-            extra_cols=1, symmetric=symmetric_pack, depth=tau + 2
-        )
-        # warmup: batch 0 fresh, batches 1..tau posted with the same
-        # initial residual (they will be min(j, tau) steps stale when
-        # harvested); `planned` counts iterations already committed to
-        # in-flight batches so the last batch is sized to max_iter
-        planned = done
-        inflight = []  # FIFO of (plan, slot); oldest harvested first
-        while len(inflight) <= tau and planned < max_iter:
-            plan = _sa_plan(sampler, min(s, max_iter - planned))
-            pslot = pipe.prefetch(np.concatenate(plan[0]))
-            pipe.post(pslot, [r_local])
-            inflight.append((plan, pslot))
-            planned += len(plan[0])
-        while inflight:
-            nxt = nslot = None
-            if planned < max_iter:
-                nxt = _sa_plan(sampler, min(s, max_iter - planned))
-                nslot = pipe.prefetch(np.concatenate(nxt[0]))
-                planned += len(nxt[0])
-            cur, slot = inflight.pop(0)
-            Y, G, R = pipe.wait(slot)
-            blocks, widths, offsets = cur
-            prev_done = done
-            converged, done = step(
-                dist, pen, Y, G, R, blocks, widths, offsets,
-                x, r_local, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            # completing this step supersedes the residual carried by
-            # every reduction still in flight: age them one harvest point
-            for _, pending in inflight:
-                pending.req.bump_staleness()
-            _checkpoint(prev_done)
-            if converged:
-                break
-            if nxt is not None:
-                pipe.post(nslot, [r_local])
-                inflight.append((nxt, nslot))
-        # drain: reductions posted but never consumed still moved real
-        # traffic (charged at finalize) and must clear the ring so the
-        # communicator is reusable (path sweeps, streaming)
-        for _, pending in inflight:
-            pending.req.wait()
-            pending.req = None
-    elif pipeline and done < max_iter:
-        pipe = dist.gram_pipeline(extra_cols=1, symmetric=symmetric_pack)
-        cur = _sa_plan(sampler, min(s, max_iter - done))
-        slot = pipe.prefetch(np.concatenate(cur[0]))
-        pipe.post(slot, [r_local])
-        while True:
-            nxt = nslot = None
-            remaining = max_iter - done - len(cur[0])
-            if remaining > 0:
-                # overlapped with the in-flight reduction: sample + pack
-                # the next outer step's (residual-independent) Gram
-                nxt = _sa_plan(sampler, min(s, remaining))
-                nslot = pipe.prefetch(np.concatenate(nxt[0]))
-            Y, G, R = pipe.wait(slot)
-            blocks, widths, offsets = cur
-            prev_done = done
-            converged, done = step(
-                dist, pen, Y, G, R, blocks, widths, offsets,
-                x, r_local, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            _checkpoint(prev_done)
-            if converged or nxt is None:
-                break
-            pipe.post(nslot, [r_local])
-            cur, slot = nxt, nslot
-    else:
-        while done < max_iter and not converged:
-            s_eff = min(s, max_iter - done)
-            blocks, widths, offsets = _sa_plan(sampler, s_eff)
-            all_idx = np.concatenate(blocks)
-            Y = dist.sample_columns(all_idx)
-            G, R = dist.gram_and_project(Y, [r_local], symmetric=symmetric_pack)
-            prev_done = done
-            converged, done = step(
-                dist, pen, Y, G, R, blocks, widths, offsets,
-                x, r_local, done, max_iter, record_every, term, history,
-                memo=eig_memo,
-            )
-            _checkpoint(prev_done)
-    if not record_every or history.iterations[-1] != done:
-        history.record(done, distributed_objective(dist, r_local, x, pen), dist.comm)
-
+    converged, done = run_outer(
+        depth=depth, s=s, max_iter=max_iter, resume=ck, sampler=sampler,
+        term=term, history=history, comm=dist.comm,
+        metric=lambda: distributed_objective(dist, r_local, x, pen),
+        record_every=record_every, plan=plan, fetch=fetch,
+        make_pipe=make_pipe, vectors=vectors, step=step,
+        checkpoint_every=checkpoint_every,
+        checkpoint=_checkpointer(
+            f"sa-bcd(mu={mu}, s={s})", dist, mu, seed, x, term, history,
+            checkpoint_sink,
+        ),
+    )
     return SolverResult(
         solver=f"sa-bcd(mu={mu}, s={s})",
         x=x,

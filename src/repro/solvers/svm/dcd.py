@@ -23,11 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.checkpoint import (
-    emit_solver_checkpoint,
+    checkpoint_emitter,
     load_solver_checkpoint,
-    make_solver_checkpoint,
     require_int_seed,
-    resume_solver,
     state_vector,
 )
 from repro.errors import SolverError
@@ -39,9 +37,11 @@ from repro.solvers.base import (
     ConvergenceHistory,
     SolverResult,
     Terminator,
+    begin_solve,
     check_finite_iterate,
 )
 from repro.solvers.lasso.common import check_parity
+from repro.solvers.outer import run_outer, schedule_depth
 from repro.solvers.sampling import RowSampler
 from repro.solvers.svm.duality import duality_gap, loss_params
 from repro.utils.validation import check_vector
@@ -49,7 +49,14 @@ from repro.utils.validation import check_vector
 __all__ = ["dcd", "sa_dcd"]
 
 
-def _setup_svm(A, b, comm: Comm | None) -> tuple[ColPartitionedMatrix, np.ndarray]:
+def _setup(A, b, comm, loss, lam, seed, alpha0, checkpoint_every, resume_from):
+    """Shared start of :func:`dcd`/:func:`sa_dcd`: the loss parameters,
+    the column-partitioned problem, and the dual ``alpha`` with the local
+    primal shard ``x = sum_i b_i alpha_i A_i^T`` (Alg. 3 line 2), from
+    ``alpha0`` or from the checkpoint ``resume_from``."""
+    if checkpoint_every or resume_from is not None:
+        require_int_seed(seed)
+    gamma, nu = loss_params(loss, lam)
     if isinstance(A, ColPartitionedMatrix):
         dist = A
     else:
@@ -59,26 +66,40 @@ def _setup_svm(A, b, comm: Comm | None) -> tuple[ColPartitionedMatrix, np.ndarra
     b = check_vector(b, m, "b")
     if not np.all(np.isin(b, (-1.0, 1.0))):
         raise SolverError("SVM labels must be in {-1, +1}")
-    return dist, b
-
-
-def _init_alpha_x(dist: ColPartitionedMatrix, b: np.ndarray, alpha0, nu: float):
-    m = dist.shape[0]
-    n_local = dist.local.shape[1]
-    if alpha0 is None:
-        return np.zeros(m), np.zeros(n_local)
-    alpha = check_vector(alpha0, m, "alpha0").copy()
-    # an infeasible dual init would silently corrupt the duality gap
-    # (coordinates never sampled within the budget stay out of the box)
-    if alpha.min() < 0.0 or alpha.max() > nu:
-        raise SolverError(
-            f"alpha0 must lie in the dual box [0, {nu:g}]; "
-            f"got range [{alpha.min():g}, {alpha.max():g}]"
+    ck = None
+    if resume_from is not None:
+        ck = load_solver_checkpoint(
+            resume_from, family="svm", seed=seed,
+            params={"m": m, "loss": loss, "lam": lam},
         )
-    # x0 = sum_i b_i alpha_i A_i^T  (Alg. 3 line 2), local columns only
-    x_local = np.asarray(dist.local.T @ (b * alpha)).ravel()
-    dist.comm.account_flops(2.0 * dist.local_nnz, "spmv")
-    return alpha, x_local
+        alpha = state_vector(ck, "alpha", m)
+        # the running run carried x incrementally; rebuilding it is
+        # instrumentation
+        with dist.comm.ledger.paused():
+            x_local = np.asarray(dist.local.T @ (b * alpha)).ravel()
+    elif alpha0 is None:
+        alpha, x_local = np.zeros(m), np.zeros(dist.local.shape[1])
+    else:
+        alpha = check_vector(alpha0, m, "alpha0").copy()
+        # an infeasible dual init would silently corrupt the duality gap
+        # (coordinates never sampled within the budget stay out of the box)
+        if alpha.min() < 0.0 or alpha.max() > nu:
+            raise SolverError(
+                f"alpha0 must lie in the dual box [0, {nu:g}]; "
+                f"got range [{alpha.min():g}, {alpha.max():g}]"
+            )
+        x_local = np.asarray(dist.local.T @ (b * alpha)).ravel()
+        dist.comm.account_flops(2.0 * dist.local_nnz, "spmv")
+    return dist, b, gamma, nu, ck, alpha, x_local
+
+
+def _checkpointer(solver, dist, loss, lam, seed, alpha, term, history, sink):
+    return checkpoint_emitter(
+        family="svm", solver=solver, seed=seed,
+        params={"m": dist.shape[0], "loss": loss, "lam": lam},
+        state=lambda: {"alpha": alpha}, term=term, history=history,
+        comm=dist.comm, sink=sink,
+    )
 
 
 def _record_gap(
@@ -142,37 +163,20 @@ def dcd(
         checkpoints carry the replicated dual ``alpha``; the local primal
         shard is rebuilt on resume.
     """
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    gamma, nu = loss_params(loss, lam)
-    dist, b = _setup_svm(A, b, comm)
-    m = dist.shape[0]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="svm", seed=seed,
-            params={"m": m, "loss": loss, "lam": lam},
-        )
-        alpha = state_vector(ck, "alpha", m)
-        # x0 = sum_i b_i alpha_i A_i^T, local columns only (the running
-        # run carried it incrementally; rebuilding is instrumentation)
-        with dist.comm.ledger.paused():
-            x_local = np.asarray(dist.local.T @ (b * alpha)).ravel()
-    else:
-        alpha, x_local = _init_alpha_x(dist, b, alpha0, nu)
-    sampler = seed if isinstance(seed, RowSampler) else RowSampler(m, seed)
+    dist, b, gamma, nu, ck, alpha, x_local = _setup(
+        A, b, comm, loss, lam, seed, alpha0, checkpoint_every, resume_from
+    )
+    sampler = seed if isinstance(seed, RowSampler) else RowSampler(dist.shape[0], seed)
     term = Terminator(max_iter, tol, "gap")
     history = ConvergenceHistory("duality_gap")
-    if ck is not None:
-        start = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-        converged = False
-    else:
-        start = 0
-        history.record(0, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
-        converged = term.done(history.final_metric)
+    start, converged = begin_solve(
+        ck, lambda: _record_gap(dist, b, alpha, x_local, lam, loss),
+        sampler=sampler, term=term, history=history, comm=dist.comm,
+    )
+    checkpoint = _checkpointer(
+        f"svm-{loss.lower()}", dist, loss, lam, seed, alpha, term, history,
+        checkpoint_sink,
+    )
 
     h = start
     if not converged:
@@ -195,16 +199,7 @@ def dcd(
                     converged = True
                     break
             if checkpoint_every and h % checkpoint_every == 0:
-                emit_solver_checkpoint(
-                    make_solver_checkpoint(
-                        family="svm", solver=f"svm-{loss.lower()}",
-                        iteration=h, seed=seed,
-                        params={"m": m, "loss": loss, "lam": lam},
-                        state={"alpha": alpha}, term=term, history=history,
-                        ledger=dist.comm.ledger,
-                    ),
-                    checkpoint_sink, dist.comm.rank,
-                )
+                checkpoint(h)
         if not record_every or history.iterations[-1] != h:
             history.record(h, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
 
@@ -358,160 +353,53 @@ def sa_dcd(
     (15) corrections are already one fused dot product per inner
     iteration, so both modes run the same (bit-identical) loop.
 
-    ``pipeline=True`` posts the packed reduction nonblocking and samples
-    + Gram-packs the next outer step's rows while it is in flight (the
-    ``Y x_sk`` projection, which depends on the current primal, is packed
-    after the inner loop finishes). Identical iterates and messages;
-    only unoverlapped latency is charged.
-
-    ``async_=True`` keeps up to ``tau + 1`` reductions in flight and
-    harvests the oldest, so outer step ``k`` runs against a ``Y x``
-    projection up to ``tau`` outer steps stale. Weaker contract than
-    ``pipeline``: convergence to the synchronous duality gap within
-    tolerance, not bit-parity — except ``tau=0``, which reproduces the
-    pipelined schedule bit for bit. See
-    :func:`repro.solvers.lasso.plain.sa_bcd` for the staleness
-    accounting (``stale_seconds`` / ``max_staleness``) and the
-    ``nb_depth = tau + 2`` communicator ring requirement. Mutually
-    exclusive with ``pipeline``. ``eig_memo`` is accepted for
-    API uniformity with the Lasso SA solvers (the SVM inner loop has no
-    eigensolves).
+    ``pipeline``/``async_``/``tau`` pick the outer-step schedule (see
+    :mod:`repro.solvers.outer`). What an async step sees stale is the
+    ``Y x`` projection it was posted with, so the async contract is
+    convergence to the synchronous duality gap within tolerance.
+    ``eig_memo`` is accepted for API uniformity with the Lasso SA solvers
+    (the SVM inner loop has no eigensolves).
     """
     del eig_memo  # no eigensolves in the dual CD inner loop
-    if s < 1:
-        raise SolverError(f"s must be >= 1, got {s}")
-    if tau < 0:
-        raise SolverError(f"tau must be >= 0, got {tau}")
-    if async_ and pipeline:
-        raise SolverError(
-            "async_=True and pipeline=True are mutually exclusive: "
-            "pipelining is the tau=0 special case of async_"
-        )
+    depth = schedule_depth(s, pipeline, async_, tau)
     check_parity(parity)
-    if checkpoint_every or resume_from is not None:
-        require_int_seed(seed)
-    gamma, nu = loss_params(loss, lam)
-    dist, b = _setup_svm(A, b, comm)
-    m = dist.shape[0]
-    ck = None
-    if resume_from is not None:
-        ck = load_solver_checkpoint(
-            resume_from, family="svm", seed=seed,
-            params={"m": m, "loss": loss, "lam": lam},
-        )
-        alpha = state_vector(ck, "alpha", m)
-        with dist.comm.ledger.paused():
-            x_local = np.asarray(dist.local.T @ (b * alpha)).ravel()
-    else:
-        alpha, x_local = _init_alpha_x(dist, b, alpha0, nu)
-    sampler = seed if isinstance(seed, RowSampler) else RowSampler(m, seed)
+    dist, b, gamma, nu, ck, alpha, x_local = _setup(
+        A, b, comm, loss, lam, seed, alpha0, checkpoint_every, resume_from
+    )
+    sampler = seed if isinstance(seed, RowSampler) else RowSampler(dist.shape[0], seed)
     term = Terminator(max_iter, tol, "gap")
     history = ConvergenceHistory("duality_gap")
-    if ck is not None:
-        done = resume_solver(
-            ck, sampler=sampler, term=term, history=history,
-            ledger=dist.comm.ledger,
-        )
-        converged = False
-    else:
-        done = 0
-        history.record(0, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
-        converged = term.done(history.final_metric)
+    inner = _sa_dcd_outer_fast if fast else _sa_dcd_outer_naive
 
-    step = _sa_dcd_outer_fast if fast else _sa_dcd_outer_naive
+    def plan(k):
+        idx = sampler.next_indices(k)
+        return idx, idx
 
-    def _checkpoint(prev_done: int) -> None:
-        if not checkpoint_every or converged:
-            return
-        if done // checkpoint_every == prev_done // checkpoint_every:
-            return
-        emit_solver_checkpoint(
-            make_solver_checkpoint(
-                family="svm", solver=f"sa-svm-{loss.lower()}(s={s})",
-                iteration=done, seed=seed,
-                params={"m": m, "loss": loss, "lam": lam},
-                state={"alpha": alpha}, term=term, history=history,
-                ledger=dist.comm.ledger,
-            ),
-            checkpoint_sink, dist.comm.rank,
-        )
-
-    if async_ and not converged and done < max_iter:
-        pipe = dist.gram_rows_pipeline(symmetric=symmetric_pack, depth=tau + 2)
-        planned = done
-        inflight = []  # FIFO of (idx, slot); oldest harvested first
-        while len(inflight) <= tau and planned < max_iter:
-            pidx = sampler.next_indices(min(s, max_iter - planned))
-            pslot = pipe.prefetch(pidx)
-            pipe.post(pslot, [x_local])
-            inflight.append((pidx, pslot))
-            planned += pidx.shape[0]
-        while inflight:
-            nidx = nslot = None
-            if planned < max_iter:
-                nidx = sampler.next_indices(min(s, max_iter - planned))
-                nslot = pipe.prefetch(nidx)
-                planned += nidx.shape[0]
-            idx, slot = inflight.pop(0)
-            Y, G, R = pipe.wait(slot)
-            prev_done = done
-            converged, done = step(
-                dist, b, Y, G, R[:, 0], idx, gamma, nu,
-                alpha, x_local, lam, loss, done, max_iter, record_every,
-                term, history,
-            )
-            # this step supersedes the primal carried by every reduction
-            # still in flight: age them one harvest point
-            for _, pending in inflight:
-                pending.req.bump_staleness()
-            _checkpoint(prev_done)
-            if converged:
-                break
-            if nidx is not None:
-                pipe.post(nslot, [x_local])
-                inflight.append((nidx, nslot))
-        # drain unconsumed reductions: traffic is charged at finalize and
-        # the ring is left clean for communicator reuse
-        for _, pending in inflight:
-            pending.req.wait()
-            pending.req = None
-    elif pipeline and not converged and done < max_iter:
-        pipe = dist.gram_rows_pipeline(symmetric=symmetric_pack)
-        idx = sampler.next_indices(min(s, max_iter - done))
-        slot = pipe.prefetch(idx)
-        pipe.post(slot, [x_local])
-        while True:
-            nidx = nslot = None
-            remaining = max_iter - done - idx.shape[0]
-            if remaining > 0:
-                # overlapped with the in-flight reduction
-                nidx = sampler.next_indices(min(s, remaining))
-                nslot = pipe.prefetch(nidx)
-            Y, G, R = pipe.wait(slot)
-            prev_done = done
-            converged, done = step(
-                dist, b, Y, G, R[:, 0], idx, gamma, nu,
-                alpha, x_local, lam, loss, done, max_iter, record_every,
-                term, history,
-            )
-            _checkpoint(prev_done)
-            if converged or nidx is None:
-                break
-            pipe.post(nslot, [x_local])
-            idx, slot = nidx, nslot
-    while done < max_iter and not converged:
-        s_eff = min(s, max_iter - done)
-        idx = sampler.next_indices(s_eff)
+    def fetch(idx):
         Y = dist.sample_rows(idx)
         G, xp = dist.gram_rows_and_project(Y, x_local, symmetric=symmetric_pack)
-        prev_done = done
-        converged, done = step(
-            dist, b, Y, G, xp, idx, gamma, nu,
+        return Y, G, xp[:, None]
+
+    def step(idx, Y, G, R, done):
+        return inner(
+            dist, b, Y, G, R[:, 0], idx, gamma, nu,
             alpha, x_local, lam, loss, done, max_iter, record_every, term, history,
         )
-        _checkpoint(prev_done)
-    if not record_every or not history.iterations or history.iterations[-1] != done:
-        history.record(done, _record_gap(dist, b, alpha, x_local, lam, loss), dist.comm)
+
+    converged, done = run_outer(
+        depth=depth, s=s, max_iter=max_iter, resume=ck, sampler=sampler,
+        term=term, history=history, comm=dist.comm,
+        metric=lambda: _record_gap(dist, b, alpha, x_local, lam, loss),
+        record_every=record_every, plan=plan, fetch=fetch,
+        make_pipe=lambda ring: dist.gram_rows_pipeline(
+            symmetric=symmetric_pack, depth=ring
+        ),
+        vectors=[x_local], step=step, checkpoint_every=checkpoint_every,
+        checkpoint=_checkpointer(
+            f"sa-svm-{loss.lower()}(s={s})", dist, loss, lam, seed, alpha,
+            term, history, checkpoint_sink,
+        ),
+    )
 
     with dist.comm.ledger.paused():
         x_full = dist.gather_cols(x_local)

@@ -69,10 +69,11 @@ from repro.machine.ledger import CostSnapshot
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.mpi.process_backend import process_spmd_run
-from repro.mpi.thread_backend import NB_RING_DEPTH, spmd_run
+from repro.mpi.thread_backend import spmd_run
 from repro.mpi.virtual_backend import VirtualComm
 from repro.path import SweepContext
 from repro.solvers.base import SolverResult
+from repro.solvers.outer import inflight_depth, ring_depth
 from repro.solvers.svm.duality import loss_params
 from repro.utils.io import atomic_write_json
 from repro.utils.validation import nnz_of
@@ -1303,7 +1304,7 @@ def replay_schedule(
         )
     if ranks < 1:
         raise SolverError(f"ranks must be >= 1, got {ranks}")
-    nb_depth = tau + 2 if async_ else NB_RING_DEPTH
+    nb_depth = ring_depth(inflight_depth(async_=async_, tau=tau))
     if backend == "thread":
         out = spmd_run(work, ranks, machine=machine,
                        cost_size=max(virtual_p, ranks), nb_depth=nb_depth)

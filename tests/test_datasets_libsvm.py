@@ -51,6 +51,27 @@ class TestParse:
         with pytest.raises(DatasetError, match="invalid feature token"):
             loads_libsvm("1 1:xyz\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value(self, token):
+        with pytest.raises(DatasetError, match=f"line 2: non-finite feature value in '1:{token}'"):
+            loads_libsvm(f"1 1:1.0\n-1 1:{token} 2:1.0\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_label(self, token):
+        with pytest.raises(DatasetError, match=f"line 3: non-finite label '{token}'"):
+            loads_libsvm(f"1 1:1.0\n# comment\n{token} 1:2.0\n")
+
+    def test_first_non_finite_token_is_reported(self):
+        # the NaN value on line 1 is found before the NaN label on line 2
+        with pytest.raises(DatasetError, match=r"line 1: .*'1:nan'"):
+            loads_libsvm("1 1:nan 2:1.0\nnan 1:2.0\n-1 2:inf\n")
+
+    def test_non_finite_in_file(self, tmp_path):
+        path = tmp_path / "bad.svm"
+        path.write_text("1 1:1.0\n-1 2:inf\n")
+        with pytest.raises(DatasetError, match="line 2"):
+            load_libsvm(path)
+
     def test_non_increasing_indices(self):
         with pytest.raises(DatasetError, match="strictly increasing"):
             loads_libsvm("1 2:1 1:1\n")
