@@ -52,6 +52,7 @@ from repro.solvers.lasso.common import (  # noqa: E402
     setup_problem,
     theta_schedule,
 )
+from repro.solvers.lasso.fused import fused_step  # noqa: E402
 
 OUT_PATH = REPO_ROOT / "BENCH_hot_paths.json"
 
@@ -163,7 +164,7 @@ def bench_sa_inner_loop(s: int = 16) -> dict:
     dist, b_local = setup_problem(A, b, VirtualComm(1))
     pen = as_penalty(0.01)  # small lam: most inner updates are non-zero
     sampler = make_sampler(n, 1, 0, pen)
-    y, z, ytil, ztil = acc_mod._init_acc_state(dist, b_local, None)
+    y, ytil = np.zeros(n), np.zeros_like(b_local)
     # a few warm iterations so the state is representative
     warm = acc_mod.sa_acc_bcd(A, b, pen, mu=1, s=s, max_iter=4 * s,
                               seed=0, record_every=0)
@@ -175,21 +176,32 @@ def bench_sa_inner_loop(s: int = 16) -> dict:
     blocks = [sampler.next_block() for _ in range(s)]
     widths = [int(blk.shape[0]) for blk in blocks]
     offsets = np.concatenate([[0], np.cumsum(widths)])
-    thetas = theta_schedule(theta, s)
     Y = dist.sample_columns(np.concatenate(blocks))
     G, R = dist.gram_and_project(Y, [ytil, ztil])
     term = Terminator(s, None, "objective")
     history = ConvergenceHistory("objective")
 
+    # both sides compute the step's theta schedule, as a solver step does
     def run(step):
         step(
-            dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
+            dist, pen, Y, G, R, blocks, widths, offsets,
+            theta_schedule(theta, s), q,
             y.copy(), z.copy(), ytil.copy(), ztil.copy(),
             0, s, 0, term, history,
         )
 
+    def run_fused():
+        mom = acc_mod._ThetaMomentum(
+            dist, pen, q, y.copy(), z.copy(), ytil.copy(), ztil.copy(),
+            theta, theta,
+        )
+        fused_step(
+            dist, pen, mom, parity="exact", max_iter=s, record_every=0,
+            term=term, history=history,
+        )((blocks, widths, offsets), Y, G, R, 0)
+
     before = best_of(lambda: run(acc_mod._sa_acc_outer_naive), repeats=30, inner=3)
-    after = best_of(lambda: run(acc_mod._sa_acc_outer_fast), repeats=30, inner=3)
+    after = best_of(run_fused, repeats=30, inner=3)
     return _entry(
         f"sa_acc_bcd inner loop (mu=1, s={s})", before, after,
         "one outer step's s inner iterations on identical (Y, G, R); "

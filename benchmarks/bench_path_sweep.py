@@ -51,6 +51,7 @@ from repro.solvers.lasso.common import (  # noqa: E402
     setup_problem,
     theta_schedule,
 )
+from repro.solvers.lasso.fused import fused_step  # noqa: E402
 from repro.solvers.objectives import lambda_max  # noqa: E402
 
 OUT_PATH = REPO_ROOT / "BENCH_path_sweep.json"
@@ -132,7 +133,7 @@ def bench_fused_mu_inner(mu: int = 8, s: int = 32) -> dict:
     dist, b_local = setup_problem(A, b, VirtualComm(1))
     pen = as_penalty(0.01)  # small lam: most inner updates are non-zero
     sampler = make_sampler(n, mu, 0, pen)
-    y, z, ytil, ztil = acc_mod._init_acc_state(dist, b_local, None)
+    y, ytil = np.zeros(n), np.zeros_like(b_local)
     warm = acc_mod.sa_acc_bcd(A, b, pen, mu=mu, s=s, max_iter=4 * s,
                               seed=0, record_every=0)
     z = warm.x.copy()
@@ -143,22 +144,33 @@ def bench_fused_mu_inner(mu: int = 8, s: int = 32) -> dict:
     blocks = [sampler.next_block() for _ in range(s)]
     widths = [int(blk.shape[0]) for blk in blocks]
     offsets = np.concatenate([[0], np.cumsum(widths)])
-    thetas = theta_schedule(theta, s)
     Y = dist.sample_columns(np.concatenate(blocks))
     G, R = dist.gram_and_project(Y, [ytil, ztil])
     G, R = G.copy(), R.copy()  # the timed loops outlive the reused buffers
     term = Terminator(s, None, "objective")
     history = ConvergenceHistory("objective")
 
+    # both sides compute the step's theta schedule, as a solver step does
     def run(step):
         step(
-            dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
+            dist, pen, Y, G, R, blocks, widths, offsets,
+            theta_schedule(theta, s), q,
             y.copy(), z.copy(), ytil.copy(), ztil.copy(),
             0, s, 0, term, history,
         )
 
+    def run_fused():
+        mom = acc_mod._ThetaMomentum(
+            dist, pen, q, y.copy(), z.copy(), ytil.copy(), ztil.copy(),
+            theta, theta,
+        )
+        fused_step(
+            dist, pen, mom, parity="fp-tolerant", max_iter=s, record_every=0,
+            term=term, history=history,
+        )((blocks, widths, offsets), Y, G, R, 0)
+
     before = best_of(lambda: run(acc_mod._sa_acc_outer_naive), repeats=20, inner=3)
-    after = best_of(lambda: run(acc_mod._sa_acc_outer_fp), repeats=20, inner=3)
+    after = best_of(run_fused, repeats=20, inner=3)
     return _entry(
         f"sa_acc_bcd mu>1 inner loop (mu={mu}, s={s})", before, after,
         "one outer step's s inner iterations on identical (Y, G, R); "

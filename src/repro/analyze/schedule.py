@@ -385,7 +385,7 @@ def static_alphabet(family: str, mode: str) -> set[str]:
     # already counted above: never resolve them by name
     callees |= driver_callees - {a.arg for a in driver.args.kwonlyargs}
 
-    # expand aliases (`step = _sa_outer_fast`): a call to the alias
+    # expand aliases (`step = naive`): a call to the alias
     # reaches every function ever assigned to it
     expanded = set(callees)
     for name in callees:

@@ -15,9 +15,10 @@ rcv1/news20 SVM runs suffered load imbalance).
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator
 
 from repro.errors import CostModelError
@@ -25,40 +26,59 @@ from repro.machine.collectives import CollectiveCost
 from repro.machine.compute import ComputeModel
 from repro.machine.spec import MachineSpec
 
-__all__ = ["CostLedger", "CostSnapshot", "critical_path"]
+__all__ = ["COST_FIELDS", "CostLedger", "CostSnapshot", "critical_path"]
+
+
+def _counter(kind=float, *, watermark=False, restored=True, required=False):
+    """A :class:`CostSnapshot` field. ``kind`` is its type; two values
+    combine by sum, or by max for a ``watermark``; a checkpoint resume
+    sets it back unless ``restored`` is False; ``required`` fields have
+    no default and every serialized snapshot carries them."""
+    meta = {"kind": kind, "watermark": watermark, "restored": restored}
+    if required:
+        return field(metadata=meta)
+    return field(default=kind(), metadata=meta)
 
 
 @dataclass(frozen=True)
 class CostSnapshot:
-    """Immutable view of a ledger at one instant."""
+    """Immutable view of a ledger at one instant.
 
-    comm_seconds: float
-    compute_seconds: float
-    messages: int
-    words: float
-    flops: float
+    Each field declares its counter once: :class:`CostLedger` keeps one
+    running value per field, and arithmetic, ledger snapshot / restore /
+    reset and every serializer loop over :data:`COST_FIELDS`.
+    """
+
+    comm_seconds: float = _counter(required=True)
+    compute_seconds: float = _counter(required=True)
+    messages: int = _counter(int, required=True)
+    words: float = _counter(required=True)
+    flops: float = _counter(required=True)
     #: modelled communication seconds hidden behind overlapped computation
     #: (nonblocking collectives charge only the unoverlapped remainder)
-    comm_seconds_hidden: float = 0.0
+    comm_seconds_hidden: float = _counter()
     #: modelled communication seconds hidden behind computation that ran
     #: *past* the point a synchronous consumer would have waited — the
     #: extra overlap bought by accepting bounded staleness (async
     #: solvers). ``comm_seconds + comm_seconds_hidden + stale_seconds``
     #: always equals what the blocking collectives would have cost.
-    stale_seconds: float = 0.0
+    stale_seconds: float = _counter()
     #: largest observed staleness (in harvest steps) of any collective;
     #: a watermark, never a sum — 0 for blocking/pipelined runs
-    max_staleness: int = 0
+    max_staleness: int = _counter(int, watermark=True)
     #: transient-fault retries of collectives (fault-tolerance layer)
-    retries: int = 0
+    retries: int = _counter(int)
     #: collectives that missed their deadline (fault-tolerance layer)
-    timeouts: int = 0
-    #: supervised recovery rounds this run survived (self-healing runtime)
-    recoveries: int = 0
+    timeouts: int = _counter(int)
+    #: supervised recovery rounds this run survived (self-healing
+    #: runtime). This and the next two counters describe the physical
+    #: run, not the logical solve: a checkpoint resume never restores
+    #: them (the resuming run's worker pool owns its own)
+    recoveries: int = _counter(int, restored=False)
     #: worker processes respawned across those recovery rounds
-    respawns: int = 0
+    respawns: int = _counter(int, restored=False)
     #: iterations restored from the latest checkpoint instead of re-run
-    replayed_iterations: int = 0
+    replayed_iterations: int = _counter(int, restored=False)
 
     @property
     def seconds(self) -> float:
@@ -68,47 +88,48 @@ class CostSnapshot:
     def zero(cls) -> "CostSnapshot":
         return cls(0.0, 0.0, 0, 0.0, 0.0)
 
+    def _merge(self, other, op, mark) -> "CostSnapshot":
+        return CostSnapshot(**{
+            f.name: (mark if f.metadata["watermark"] else op)(
+                getattr(self, f.name), getattr(other, f.name)
+            )
+            for f in COST_FIELDS
+        })
+
     def __add__(self, other: "CostSnapshot") -> "CostSnapshot":
         if not isinstance(other, CostSnapshot):
             return NotImplemented
-        return CostSnapshot(
-            comm_seconds=self.comm_seconds + other.comm_seconds,
-            compute_seconds=self.compute_seconds + other.compute_seconds,
-            messages=self.messages + other.messages,
-            words=self.words + other.words,
-            flops=self.flops + other.flops,
-            comm_seconds_hidden=self.comm_seconds_hidden + other.comm_seconds_hidden,
-            stale_seconds=self.stale_seconds + other.stale_seconds,
-            max_staleness=max(self.max_staleness, other.max_staleness),
-            retries=self.retries + other.retries,
-            timeouts=self.timeouts + other.timeouts,
-            recoveries=self.recoveries + other.recoveries,
-            respawns=self.respawns + other.respawns,
-            replayed_iterations=self.replayed_iterations + other.replayed_iterations,
-        )
+        return self._merge(other, operator.add, max)
 
     def __sub__(self, other: "CostSnapshot") -> "CostSnapshot":
         """Delta between two snapshots of the *same* ledger (later - earlier);
         used to split one measured span into phases (e.g. the streaming
-        engine's append vs. window-eviction work within one revision)."""
+        engine's append vs. window-eviction work within one revision).
+        A watermark has no meaningful delta; the later span's is kept."""
         if not isinstance(other, CostSnapshot):
             return NotImplemented
-        return CostSnapshot(
-            comm_seconds=self.comm_seconds - other.comm_seconds,
-            compute_seconds=self.compute_seconds - other.compute_seconds,
-            messages=self.messages - other.messages,
-            words=self.words - other.words,
-            flops=self.flops - other.flops,
-            comm_seconds_hidden=self.comm_seconds_hidden - other.comm_seconds_hidden,
-            stale_seconds=self.stale_seconds - other.stale_seconds,
-            # a watermark has no meaningful delta; keep the later span's
-            max_staleness=self.max_staleness,
-            retries=self.retries - other.retries,
-            timeouts=self.timeouts - other.timeouts,
-            recoveries=self.recoveries - other.recoveries,
-            respawns=self.respawns - other.respawns,
-            replayed_iterations=self.replayed_iterations - other.replayed_iterations,
-        )
+        return self._merge(other, operator.sub, lambda later, _: later)
+
+    def to_dict(self) -> dict:
+        """Plain JSON-able dict, one key per counter."""
+        return {
+            f.name: f.metadata["kind"](getattr(self, f.name))
+            for f in COST_FIELDS
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "CostSnapshot":
+        """Inverse of :meth:`to_dict`; counters missing from ``data``
+        (payloads written before they existed) load as 0. Raises
+        ``TypeError``/``ValueError`` on a non-numeric value."""
+        return cls(**{
+            f.name: f.metadata["kind"](data.get(f.name, 0))
+            for f in COST_FIELDS
+        })
+
+
+#: every counter a ledger keeps, in declaration order
+COST_FIELDS = fields(CostSnapshot)
 
 
 def _collective_entry() -> list:
@@ -133,29 +154,9 @@ class CostLedger:
     #: the row count, not the nnz count)
     kind_scales: dict = field(default_factory=dict)
 
-    comm_seconds: float = 0.0
-    compute_seconds: float = 0.0
-    messages: int = 0
-    words: float = 0.0
-    flops: float = 0.0
-    #: modelled communication seconds hidden behind overlapped computation
-    comm_seconds_hidden: float = 0.0
-    #: modelled communication seconds hidden behind *stale* computation
-    #: (overlap past the synchronous harvest point; async solvers only)
-    stale_seconds: float = 0.0
-    #: largest observed staleness (harvest steps) of any collective
-    max_staleness: int = 0
-    #: transient-fault retries of collectives (see :mod:`repro.faults`)
-    retries: int = 0
-    #: collectives that missed their deadline
-    timeouts: int = 0
-    #: supervised recovery rounds this run survived (set by the worker
-    #: pool at (re)dispatch; see :mod:`repro.mpi.process_backend`)
-    recoveries: int = 0
-    #: worker processes respawned across those recovery rounds
-    respawns: int = 0
-    #: iterations restored from the latest checkpoint instead of re-run
-    replayed_iterations: int = 0
+    # the running cost counters, one per :class:`CostSnapshot` field
+    # (``comm_seconds``, ``messages``, ...), are set in __post_init__
+
     #: modelled seconds this rank sat idle (serving engine waiting for
     #: the next arrival, or an explicit ``("sleep", s)`` schedule token);
     #: virtual time only — no wall clock is ever spent
@@ -182,6 +183,8 @@ class CostLedger:
         if self.imbalance < 1.0:
             raise CostModelError("imbalance must be >= 1")
         self._compute_model = ComputeModel(self.machine) if self.machine else None
+        for f in COST_FIELDS:
+            setattr(self, f.name, f.metadata["kind"]())
 
     # -- charging ----------------------------------------------------------
     def add_collective(
@@ -324,42 +327,19 @@ class CostLedger:
         return self.comm_seconds + self.compute_seconds
 
     def snapshot(self) -> CostSnapshot:
-        return CostSnapshot(
-            comm_seconds=self.comm_seconds,
-            compute_seconds=self.compute_seconds,
-            messages=self.messages,
-            words=self.words,
-            flops=self.flops,
-            comm_seconds_hidden=self.comm_seconds_hidden,
-            stale_seconds=self.stale_seconds,
-            max_staleness=self.max_staleness,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            recoveries=self.recoveries,
-            respawns=self.respawns,
-            replayed_iterations=self.replayed_iterations,
-        )
+        return CostSnapshot(**{f.name: getattr(self, f.name) for f in COST_FIELDS})
 
     def restore(self, snapshot: CostSnapshot) -> None:
         """Set the running counters to ``snapshot`` (checkpoint resume).
 
         Per-collective / per-kind breakdowns are not checkpointed; only
-        the totals continue across a resume. The recovery counters
-        (``recoveries`` / ``respawns`` / ``replayed_iterations``) are
-        deliberately *not* restored: they describe this physical run's
-        supervision history, not the logical solve the checkpoint came
-        from, and are owned by the worker pool.
+        the totals continue across a resume. Counters declared with
+        ``restored=False`` (the recovery counters) keep this physical
+        run's values.
         """
-        self.comm_seconds = float(snapshot.comm_seconds)
-        self.compute_seconds = float(snapshot.compute_seconds)
-        self.messages = int(snapshot.messages)
-        self.words = float(snapshot.words)
-        self.flops = float(snapshot.flops)
-        self.comm_seconds_hidden = float(snapshot.comm_seconds_hidden)
-        self.stale_seconds = float(snapshot.stale_seconds)
-        self.max_staleness = int(snapshot.max_staleness)
-        self.retries = int(snapshot.retries)
-        self.timeouts = int(snapshot.timeouts)
+        for f in COST_FIELDS:
+            if f.metadata["restored"]:
+                setattr(self, f.name, f.metadata["kind"](getattr(snapshot, f.name)))
 
     def child(self) -> "CostLedger":
         """A fresh zero-counter ledger with this ledger's configuration.
@@ -378,19 +358,8 @@ class CostLedger:
 
     def reset(self) -> None:
         """Zero all counters (ledger can be reused across solver runs)."""
-        self.comm_seconds = 0.0
-        self.compute_seconds = 0.0
-        self.messages = 0
-        self.words = 0.0
-        self.flops = 0.0
-        self.comm_seconds_hidden = 0.0
-        self.stale_seconds = 0.0
-        self.max_staleness = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.recoveries = 0
-        self.respawns = 0
-        self.replayed_iterations = 0
+        for f in COST_FIELDS:
+            setattr(self, f.name, f.metadata["kind"]())
         self.idle_seconds = 0.0
         self.requests_rejected = 0
         self.requests_timed_out = 0
@@ -403,19 +372,7 @@ class CostLedger:
         """Plain-dict summary for reports."""
         return {
             "seconds": self.seconds,
-            "comm_seconds": self.comm_seconds,
-            "comm_seconds_hidden": self.comm_seconds_hidden,
-            "stale_seconds": self.stale_seconds,
-            "max_staleness": self.max_staleness,
-            "compute_seconds": self.compute_seconds,
-            "messages": self.messages,
-            "words": self.words,
-            "flops": self.flops,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "recoveries": self.recoveries,
-            "respawns": self.respawns,
-            "replayed_iterations": self.replayed_iterations,
+            **self.snapshot().to_dict(),
             "idle_seconds": self.idle_seconds,
             "requests_rejected": self.requests_rejected,
             "requests_timed_out": self.requests_timed_out,

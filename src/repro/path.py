@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,25 +88,6 @@ def _fingerprints_match(fp1: tuple, fp2: tuple, rtol: float = 1e-9) -> bool:
         if abs(a - b) > rtol * max(abs(a), abs(b), 1.0):
             return False
     return True
-
-
-def _sum_costs(snaps: Sequence[CostSnapshot]) -> CostSnapshot:
-    """Aggregate per-point snapshots into one sweep total."""
-    return CostSnapshot(
-        comm_seconds=sum(s.comm_seconds for s in snaps),
-        compute_seconds=sum(s.compute_seconds for s in snaps),
-        messages=sum(s.messages for s in snaps),
-        words=sum(s.words for s in snaps),
-        flops=sum(s.flops for s in snaps),
-        comm_seconds_hidden=sum(s.comm_seconds_hidden for s in snaps),
-        stale_seconds=sum(s.stale_seconds for s in snaps),
-        max_staleness=max((s.max_staleness for s in snaps), default=0),
-        retries=sum(s.retries for s in snaps),
-        timeouts=sum(s.timeouts for s in snaps),
-        recoveries=sum(s.recoveries for s in snaps),
-        respawns=sum(s.respawns for s in snaps),
-        replayed_iterations=sum(s.replayed_iterations for s in snaps),
-    )
 
 
 #: format version of path-sweep checkpoints (distinct from solver ones)
@@ -340,7 +320,7 @@ class SweepContext:
     @property
     def total_cost(self) -> CostSnapshot:
         """Modelled cost of the whole sweep so far (summed points)."""
-        return _sum_costs(self.point_costs)
+        return sum(self.point_costs, CostSnapshot.zero())
 
 
 @dataclass
@@ -376,7 +356,7 @@ class PathResult:
     @property
     def total_cost(self) -> CostSnapshot:
         """Modelled cost of the whole sweep (summed per-point costs)."""
-        return _sum_costs([r.cost for r in self.results])
+        return sum((r.cost for r in self.results), CostSnapshot.zero())
 
     def support_sizes(self, atol: float = 0.0) -> list[int]:
         """Non-zero count of each point's solution (Lasso sparsity trace)."""

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -62,6 +63,13 @@ class TraceEvent:
     deadline: float | None = None
 
 
+def _real(value, where: str, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ServeError(f"{where}: {name} must be a number, got {value!r}") from None
+
+
 def _check_event(ev: TraceEvent, where: str) -> TraceEvent:
     if not isinstance(ev.tenant, str) or not ev.tenant:
         raise ServeError(f"{where}: tenant must be a non-empty string")
@@ -69,15 +77,19 @@ def _check_event(ev: TraceEvent, where: str) -> TraceEvent:
         raise ServeError(
             f"{where}: unknown op {ev.op!r}; expected one of {TRACE_OPS}"
         )
-    t = float(ev.t)
+    t = _real(ev.t, where, "t")
     if not math.isfinite(t) or t < 0:
         raise ServeError(f"{where}: arrival time must be finite and >= 0, got {ev.t!r}")
-    rows = int(ev.rows)
+    rows = ev.rows
+    if (isinstance(rows, (bool, np.bool_)) or not isinstance(rows, numbers.Real)
+            or not math.isfinite(rows) or rows != int(rows)):
+        raise ServeError(f"{where}: rows must be an integer, got {rows!r}")
+    rows = int(rows)
     if rows < 1:
         raise ServeError(f"{where}: rows must be >= 1, got {ev.rows!r}")
     dl = ev.deadline
     if dl is not None:
-        dl = float(dl)
+        dl = _real(dl, where, "deadline")
         if not math.isfinite(dl) or dl <= 0:
             raise ServeError(
                 f"{where}: deadline must be finite and > 0, got {ev.deadline!r}"

@@ -13,45 +13,12 @@ Richtarik define the iterate with the theta *used during* the iteration
 Richtarik (``theta_{h-1}``) because it preserves the invariant
 ``x_0 = z_0`` at initialisation (``y_0 = 0``).
 
-SA-accBCD re-arranges the recurrences exactly as eqs. (3)-(5):
-
-    r_j  = th_{j-1}^2 ytil'_j + ztil'_j - sum_{t<j} c_{j,t} G_{j,t} dz_t
-    g_j  = cur_j - eta_j r_j
-    dz_j = prox(g_j, eta_j) - cur_j
-
-with ``c_{j,t} = th_{j-1}^2 (1 - q th_{t-1}) / th_{t-1}^2 - 1`` and
-``cur_j = z_sk[I_j] + sum_{t<j} I_j^T I_t dz_t``. One packed Allreduce
-per outer step carries ``G = Y^T Y`` and ``Y^T [ytil, ztil]``
-(Alg. 2 lines 11-12).
-
-Fast inner loop (``fast=True``, the default): the theta/eta/momentum
-coefficient tables are precomputed once per outer step
-(:func:`repro.linalg.kernels.acc_coef_tables`), the overlap bookkeeping
-``cur_j = z_sk[I_j] + sum I_j^T I_t dz_t`` collapses to a read of the
-incrementally-updated ``z`` (same additions, same order), the block
-Lipschitz eigensolve is memoised per Gram-block bytes, and at ``mu = 1``
-the whole eq. (3)-(5) recurrence runs on scalars with sparse
-column-scatter residual updates (O(nnz of the sampled column) instead of
-O(nnz of all s columns) per inner iteration). Every fast-path operation
-keeps the naive loop's operation order, so the iterate sequence is
-bit-identical to ``fast=False`` — that invariant is enforced by
-``tests/test_fast_parity.py``.
-
-Parity modes (``parity=``): ``"exact"`` (default) is the bit-parity
-contract above. ``"fp-tolerant"`` additionally fuses the ``mu > 1``
-per-``t`` correction GEMVs: eq. (3)'s coefficient splits as
-``c_{j,t} = theta_{j-1}^2 m_t - 1`` with ``m_t = (1 - q th_t)/th_t^2``,
-so the whole correction sum collapses to one prefix apply of the
-preassembled ``(s mu) x (s mu)`` Gram per inner iteration,
-
-    sum_t c_{j,t} G_{j,t} dz_t
-        = th^2 G[j,:off] (m .* dz) - G[j,:off] dz,
-
-a single (mu x off) @ (off x 2) GEMM instead of ``j`` sliced GEMVs. BLAS
-re-associates the sum over ``t`` (that is the speed), which perturbs
-iterates at the rounding level — validated to <= 1e-9 relative drift on
-the fig3 configuration by ``tests/test_fast_parity.py``. The modelled
-cost ledger charges the algorithm's work, identical in both modes.
+SA-accBCD re-arranges the recurrences exactly as eqs. (3)-(5); one
+packed Allreduce per outer step carries ``G = Y^T Y`` and
+``Y^T [ytil, ztil]`` (Alg. 2 lines 11-12). The recurrence, the fused
+inner loops and the parity modes are shared with SA-BCD and described
+once in :mod:`repro.solvers.lasso.fused`; this module supplies the theta
+momentum they run with.
 """
 
 from __future__ import annotations
@@ -67,12 +34,7 @@ from repro.checkpoint import (
 )
 from repro.errors import SolverError
 from repro.linalg.eig import largest_eigenvalue
-from repro.linalg.kernels import (
-    acc_coef_tables,
-    csc_range_matvec,
-    largest_eigenvalue_cached,
-    sparse_columns,
-)
+from repro.linalg.kernels import acc_coef_tables
 from repro.mpi.comm import Comm
 from repro.solvers.base import (
     FIXED_SUBPROBLEM_FLOPS,
@@ -92,6 +54,7 @@ from repro.solvers.lasso.common import (
     theta_next,
     theta_schedule,
 )
+from repro.solvers.lasso.fused import fused_step
 from repro.solvers.lasso.plain import _overlap_apply, _sa_io
 from repro.solvers.outer import run_outer, schedule_depth
 from repro.utils.validation import nnz_of
@@ -317,237 +280,38 @@ def _sa_acc_outer_naive(
     return False, done + s_eff, thetas[s_eff], theta_used
 
 
-def _sa_acc_outer_fast(
-    dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-    y, z, ytil, ztil, done, max_iter, record_every, term, history, memo=None,
-):
-    """Fused inner loop — bit-identical iterates, fraction of the work.
+class _ThetaMomentum:
+    """SA-accBCD's theta momentum for the fused loops (see
+    :mod:`repro.solvers.lasso.fused`): the ``y``/``z`` pair, their images
+    ``ytil``/``ztil`` and the ``theta``/``theta_used`` bookkeeping."""
 
-    * coefficient tables (theta^2, q*theta, momentum, eq. (3)'s c_{j,t})
-      are built once per outer step with naive-matching associativity;
-    * ``cur_j`` reads the incrementally-updated ``z`` instead of
-      re-deriving overlaps with O(mu^2) comparisons — ``z`` accumulates
-      the exact same additions in the exact same order;
-    * the block Lipschitz constant is memoised on the Gram block's bytes;
-    * at ``mu = 1`` the recurrence runs on Python scalars and residual
-      updates scatter single sparse columns.
-    """
-    s_eff = len(blocks)
-    t2v, qth, coefv, C = acc_coef_tables(thetas[:s_eff], q)
-    account = dist.comm.account_flops
-    if max(widths) == 1:
-        return _sa_acc_inner_scalar(
-            dist, pen, Y, G, R, blocks, offsets, thetas, t2v, qth, coefv, C,
-            y, z, ytil, ztil, done, max_iter, record_every, term, history,
+    #: vector terms in the modelled per-iteration flops 2 mu (off + k)
+    flop_terms = 4
+
+    def __init__(self, dist, pen, q, y, z, ytil, ztil, theta, theta_used):
+        self.dist, self.pen, self.q = dist, pen, q
+        self.y, self.z, self.ytil, self.ztil = y, z, ytil, ztil
+        self.theta, self.theta_used = theta, theta_used
+        self.thetas = None
+
+    def tables(self, R, widths):
+        # the whole outer step's thetas depend only on theta_sk (Alg. 2
+        # line 9), known fresh at harvest
+        self.thetas = theta_schedule(self.theta, len(widths))
+        t2, qth, coefs, C = acc_coef_tables(self.thetas[:-1], self.q)
+        return np.repeat(t2, widths) * R[:, 0] + R[:, 1], t2, qth, coefs, C
+
+    def metric_at(self, it, j):
+        check_finite_iterate("sa-accbcd", it, y=self.y, z=self.z)
+        return self.objective(self.thetas[j])
+
+    def objective(self, theta):
+        return _acc_objective(
+            self.dist, theta, self.y, self.z, self.ytil, self.ztil, self.pen
         )
-    deltas: list[np.ndarray] = []
-    nonzero: list[bool] = []
-    theta_used = thetas[0]
-    for j in range(s_eff):
-        sl_j = slice(offsets[j], offsets[j + 1])
-        th_prev = thetas[j]
-        theta_used = th_prev
-        r = t2v[j] * R[sl_j, 0] + R[sl_j, 1]
-        for t in range(j):
-            if nonzero[t]:
-                sl_t = slice(offsets[t], offsets[t + 1])
-                r -= C[j, t] * (G[sl_j, sl_t] @ deltas[t])
-        account(
-            FIXED_SUBPROBLEM_FLOPS
-            + 10.0 * float(widths[j]) ** 3
-            + 2.0 * widths[j] * (offsets[j] + 4),
-            "fixed",
-        )
-        v = largest_eigenvalue_cached(G[sl_j, sl_j], memo)
-        if v > 0.0:
-            eta = 1.0 / (qth[j] * v)
-            cur = z[blocks[j]].copy()
-            g = cur - eta * r
-            new = pen.prox_block(g, eta, blocks[j])
-            dz = new - cur
-        else:
-            dz = np.zeros(widths[j])
-        nz = bool(np.any(dz))
-        deltas.append(dz)
-        nonzero.append(nz)
-        coef = coefv[j]
-        z[blocks[j]] += dz
-        y[blocks[j]] -= coef * dz
-        if nz:
-            Sj = Y[:, sl_j]
-            Sdz = np.asarray(Sj @ dz).ravel()
-            account(2.0 * nnz_of(Sj), "blas1")
-            account(3.0 * Sdz.shape[0], "gather")
-            ztil += Sdz
-            ytil -= coef * Sdz
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-accbcd", it, y=y, z=z)
-            obj = _acc_objective(dist, th_prev, y, z, ytil, ztil, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it, thetas[j + 1], th_prev
-    return False, done + s_eff, thetas[s_eff], theta_used
 
-
-def _sa_acc_outer_fp(
-    dist, pen, Y, G, R, blocks, widths, offsets, thetas, q,
-    y, z, ytil, ztil, done, max_iter, record_every, term, history, memo=None,
-):
-    """fp-tolerant fused inner loop: one prefix Gram GEMM per iteration.
-
-    Maintains the stacked update history ``U[:, 0] = m_t .* dz_t`` and
-    ``U[:, 1] = dz_t`` (block-concatenated), so eq. (3)'s correction sum
-    over ``t < j`` becomes a single ``G[sl_j, :off] @ U[:off]`` apply of
-    the preassembled outer-step Gram — BLAS re-associates the reduction,
-    hence the relaxed (<= 1e-9 relative drift) parity contract. Residual
-    updates scatter the block's CSC range directly (bincount
-    accumulation, no scipy submatrix construction). Charges the same
-    modelled flops as the exact loop: the algorithmic work is unchanged,
-    only its association differs.
-    """
-    s_eff = len(blocks)
-    t2v, qth, coefv, C = acc_coef_tables(thetas[:s_eff], q)
-    if max(widths) == 1:
-        # the scalar loop is already GEMV-free; both parity modes share it
-        return _sa_acc_inner_scalar(
-            dist, pen, Y, G, R, blocks, offsets, thetas, t2v, qth, coefv, C,
-            y, z, ytil, ztil, done, max_iter, record_every, term, history,
-        )
-    account = dist.comm.account_flops
-    U = np.zeros((int(offsets[-1]), 2))
-    any_nz = False
-    m_loc = ztil.shape[0]
-    Ycsc = sparse_columns(Y)
-    if Ycsc is not None:
-        Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
-    theta_used = thetas[0]
-    for j in range(s_eff):
-        sl_j = slice(offsets[j], offsets[j + 1])
-        th_prev = thetas[j]
-        theta_used = th_prev
-        r = t2v[j] * R[sl_j, 0] + R[sl_j, 1]
-        off = offsets[j]
-        if off and any_nz:
-            M = G[sl_j, :off] @ U[:off]
-            r -= t2v[j] * M[:, 0] - M[:, 1]
-        account(
-            FIXED_SUBPROBLEM_FLOPS
-            + 10.0 * float(widths[j]) ** 3
-            + 2.0 * widths[j] * (offsets[j] + 4),
-            "fixed",
-        )
-        v = largest_eigenvalue_cached(G[sl_j, sl_j], memo)
-        if v > 0.0:
-            eta = 1.0 / (qth[j] * v)
-            cur = z[blocks[j]].copy()
-            g = cur - eta * r
-            new = pen.prox_block(g, eta, blocks[j])
-            dz = new - cur
-        else:
-            dz = np.zeros(widths[j])
-        nz = bool(np.any(dz))
-        any_nz = any_nz or nz
-        U[sl_j, 0] = coefv[j] * dz
-        U[sl_j, 1] = dz
-        coef = coefv[j]
-        z[blocks[j]] += dz
-        y[blocks[j]] -= coef * dz
-        if nz:
-            if Ycsc is not None:
-                upd, nnz_blk = csc_range_matvec(
-                    Yp, Yi, Yd, offsets[j], offsets[j + 1], dz, m_loc
-                )
-                account(2.0 * nnz_blk, "blas1")
-                account(3.0 * m_loc, "gather")
-                if upd is not None:
-                    ztil += upd
-                    ytil -= coef * upd
-            else:
-                Sdz = Y[:, sl_j] @ dz
-                account(2.0 * Sdz.shape[0] * widths[j], "blas1")
-                account(3.0 * Sdz.shape[0], "gather")
-                ztil += Sdz
-                ytil -= coef * Sdz
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-accbcd", it, y=y, z=z)
-            obj = _acc_objective(dist, th_prev, y, z, ytil, ztil, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it, thetas[j + 1], th_prev
-    return False, done + s_eff, thetas[s_eff], theta_used
-
-
-def _sa_acc_inner_scalar(
-    dist, pen, Y, G, R, blocks, offsets, thetas, t2v, qth, coefv, C,
-    y, z, ytil, ztil, done, max_iter, record_every, term, history,
-):
-    """mu = 1 fused loop: pure-scalar recurrence + sparse column scatter."""
-    s_eff = len(blocks)
-    Gl = G.tolist()
-    R0 = R[:, 0].tolist()
-    R1 = R[:, 1].tolist()
-    Cl = C.tolist()
-    t2l = t2v.tolist()
-    qthl = qth.tolist()
-    coefl = coefv.tolist()
-    cols = [int(b[0]) for b in blocks]
-    dvals = [0.0] * s_eff
-    m_loc = ztil.shape[0]
-    Ycsc = sparse_columns(Y)
-    if Ycsc is not None:
-        Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
-    account = dist.comm.account_flops
-    fixed = FIXED_SUBPROBLEM_FLOPS + 10.0
-    theta_used = thetas[0]
-    for j in range(s_eff):
-        th_prev = thetas[j]
-        theta_used = th_prev
-        r = t2l[j] * R0[j] + R1[j]
-        Crow = Cl[j]
-        Grow = Gl[j]
-        for t in range(j):
-            d = dvals[t]
-            if d != 0.0:
-                r -= Crow[t] * (Grow[t] * d)
-        account(fixed + 2.0 * (offsets[j] + 4), "fixed")
-        i = cols[j]
-        v = Grow[j]
-        if v > 0.0:
-            eta = 1.0 / (qthl[j] * v)
-            cur = z[i]
-            g = cur - eta * r
-            new = pen.prox_block(np.array([g]), eta, blocks[j])
-            dz = new[0] - cur
-        else:
-            dz = 0.0
-        dvals[j] = dz
-        coef = coefl[j]
-        z[i] += dz
-        y[i] -= coef * dz
-        if dz != 0.0:
-            if Ycsc is not None:
-                lo, hi = Yp[j], Yp[j + 1]
-                rows = Yi[lo:hi]
-                upd = Yd[lo:hi] * dz
-                ztil[rows] += upd
-                ytil[rows] -= coef * upd
-                account(2.0 * (hi - lo), "blas1")
-            else:
-                upd = Y[:, j] * dz
-                ztil += upd
-                ytil -= coef * upd
-                account(2.0 * m_loc, "blas1")
-            account(3.0 * m_loc, "gather")
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-accbcd", it, y=y, z=z)
-            obj = _acc_objective(dist, th_prev, y, z, ytil, ztil, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it, thetas[j + 1], th_prev
-    return False, done + s_eff, thetas[s_eff], theta_used
+    def advance(self, j):
+        self.theta_used, self.theta = self.thetas[j], self.thetas[j + 1]
 
 
 def sa_acc_bcd(
@@ -579,15 +343,9 @@ def sa_acc_bcd(
     One packed Allreduce per ``s`` iterations; identical iterate sequence
     to :func:`acc_bcd` in exact arithmetic for equal seeds.
 
-    ``fast`` selects the fused inner loop (default); ``fast=False`` runs
-    the reference eq. (3)-(5) recurrences. With ``parity="exact"`` (the
-    default) the fused loop produces bit-identical iterate sequences —
-    it only removes overhead, never changes the arithmetic. With
-    ``parity="fp-tolerant"`` the ``mu > 1`` correction sums additionally
-    collapse to one prefix Gram GEMM per inner iteration (BLAS
-    re-association, <= 1e-9 relative iterate drift); at ``mu = 1`` both
-    modes share the exact scalar loop. ``parity`` has no effect with
-    ``fast=False``.
+    ``fast``/``parity`` select the inner loop as in
+    :func:`~repro.solvers.lasso.plain.sa_bcd`; ``parity`` has no effect
+    with ``fast=False``.
 
     ``pipeline``/``async_``/``tau`` pick the outer-step schedule (see
     :mod:`repro.solvers.outer`). What an async step sees stale is the
@@ -606,42 +364,38 @@ def sa_acc_bcd(
     q = float(int(np.ceil(n / mu)))
     term = Terminator(max_iter, tol, "objective")
     history = ConvergenceHistory("objective")
-    if not fast:
-        inner = _sa_acc_outer_naive
-    elif parity == "fp-tolerant":
-        inner = _sa_acc_outer_fp
-    else:
-        inner = _sa_acc_outer_fast
+    mom = _ThetaMomentum(dist, pen, q, y, z, ytil, ztil, theta, theta_used)
 
-    vectors = [ytil, ztil]
-    plan, fetch, make_pipe = _sa_io(dist, sampler, vectors, symmetric_pack)
-
-    def step(p, Y, G, R, done):
-        nonlocal theta, theta_used
-        # the whole outer step's thetas depend only on theta_sk (Alg. 2
-        # line 9), known fresh at harvest
-        thetas = theta_schedule(theta, len(p[0]))
-        converged, done, theta, theta_used = inner(
+    def naive(p, Y, G, R, done):
+        thetas = theta_schedule(mom.theta, len(p[0]))
+        converged, done, mom.theta, mom.theta_used = _sa_acc_outer_naive(
             dist, pen, Y, G, R, *p, thetas, q,
             y, z, ytil, ztil, done, max_iter, record_every, term, history,
-            memo=eig_memo,
         )
         return converged, done
 
+    step = fused_step(
+        dist, pen, mom, parity=parity, max_iter=max_iter,
+        record_every=record_every, term=term, history=history, memo=eig_memo,
+    ) if fast else naive
+    vectors = [ytil, ztil]
+    plan, fetch, make_pipe = _sa_io(dist, sampler, vectors, symmetric_pack)
     converged, done = run_outer(
         depth=depth, s=s, max_iter=max_iter, resume=ck, sampler=sampler,
         term=term, history=history, comm=dist.comm,
-        metric=lambda: _acc_objective(dist, theta_used, y, z, ytil, ztil, pen),
+        metric=lambda: mom.objective(mom.theta_used),
         record_every=record_every, plan=plan, fetch=fetch,
         make_pipe=make_pipe, vectors=vectors, step=step,
         checkpoint_every=checkpoint_every,
         checkpoint=_checkpointer(
             f"sa-accbcd(mu={mu}, s={s})", dist, mu, seed, term, history,
             checkpoint_sink,
-            lambda: {"y": y, "z": z, "theta": theta, "theta_used": theta_used},
+            lambda: {"y": y, "z": z, "theta": mom.theta,
+                     "theta_used": mom.theta_used},
         ),
     )
 
+    theta_used = mom.theta_used
     t2 = theta_used * theta_used
     x = t2 * y + z
     return SolverResult(

@@ -7,18 +7,12 @@ block gradient with **one** Allreduce, solve the mu-dimensional prox
 subproblem redundantly on every rank, update the replicated solution and
 the partitioned residual.
 
-``sa_bcd`` unrolls the residual recurrence ``s`` steps (the same
-re-arrangement as paper Alg. 2, minus the momentum terms): one
+``sa_bcd`` unrolls the residual recurrence ``s`` steps: one
 ``(s*mu) x (s*mu)`` Gram + projections Allreduce per ``s`` iterations,
-then ``s`` local subproblem solves with Gram-block corrections
-
-    rho_j = S_j^T r_sk + sum_{t<j} G_{j,t} dz_t                  (cf. eq. 3)
-    g_j   = cur_j - eta_j rho_j                                  (cf. eq. 4)
-    dz_j  = prox_{eta_j g}(g_j) - cur_j                          (cf. eq. 5)
-
-where ``cur_j = x_sk[I_j] + sum_{t<j} I_j^T I_t dz_t`` applies overlaps
-between sampled blocks. With the same seed the iterate sequence equals
-``bcd``'s in exact arithmetic.
+then ``s`` local subproblem solves with Gram-block corrections. It is
+SA-accBCD's recurrence (paper Alg. 2, eqs. (3)-(5)) with the identity
+momentum; :mod:`repro.solvers.lasso.fused` states it once for both. With
+the same seed the iterate sequence equals ``bcd``'s in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -33,11 +27,6 @@ from repro.checkpoint import (
 )
 from repro.errors import SolverError
 from repro.linalg.eig import largest_eigenvalue
-from repro.linalg.kernels import (
-    csc_range_matvec,
-    largest_eigenvalue_cached,
-    sparse_columns,
-)
 from repro.mpi.comm import Comm
 from repro.solvers.base import (
     FIXED_SUBPROBLEM_FLOPS,
@@ -54,6 +43,7 @@ from repro.solvers.lasso.common import (
     make_sampler,
     setup_problem,
 )
+from repro.solvers.lasso.fused import fused_step
 from repro.solvers.outer import run_outer, schedule_depth
 
 __all__ = ["bcd", "sa_bcd", "cd", "sa_cd"]
@@ -255,192 +245,29 @@ def _sa_outer_naive(
     return False, done + s_eff
 
 
-def _sa_outer_fast(
-    dist, pen, Y, G, R, blocks, widths, offsets,
-    x, r_local, done, max_iter, record_every, term, history, memo=None,
-):
-    """Fused inner loop: bit-identical to :func:`_sa_outer_naive`.
+class _IdentityMomentum:
+    """SA-BCD's momentum for the fused loops: none. The loops' ``z`` is
+    the iterate ``x`` and ``ztil`` the residual ``r`` (see
+    :mod:`repro.solvers.lasso.fused`)."""
 
-    Same fusion strategy as SA-accBCD minus the momentum tables: ``cur``
-    reads the incrementally-updated ``x``, eigensolves are memoised, and
-    ``mu = 1`` runs on scalars with sparse column scatters.
-    """
-    s_eff = len(blocks)
-    account = dist.comm.account_flops
-    if max(widths) == 1:
-        return _sa_inner_scalar(
-            dist, pen, Y, G, R, blocks, offsets,
-            x, r_local, done, max_iter, record_every, term, history,
-        )
-    deltas: list[np.ndarray] = []
-    nonzero: list[bool] = []
-    for j in range(s_eff):
-        sl_j = slice(offsets[j], offsets[j + 1])
-        rho = R[sl_j, 0].copy()
-        for t in range(j):
-            if nonzero[t]:
-                sl_t = slice(offsets[t], offsets[t + 1])
-                rho += G[sl_j, sl_t] @ deltas[t]
-        account(
-            FIXED_SUBPROBLEM_FLOPS
-            + 10.0 * float(widths[j]) ** 3
-            + 2.0 * widths[j] * (offsets[j] + 3),
-            "fixed",
-        )
-        v = largest_eigenvalue_cached(G[sl_j, sl_j], memo)
-        if v > 0.0:
-            eta = 1.0 / v
-            cur = x[blocks[j]].copy()
-            g = cur - eta * rho
-            new = pen.prox_block(g, eta, blocks[j])
-            delta = new - cur
-        else:
-            delta = np.zeros(widths[j])
-        nz = bool(np.any(delta))
-        deltas.append(delta)
-        nonzero.append(nz)
-        x[blocks[j]] += delta
-        if nz:
-            Sj = Y[:, sl_j]
-            dist.apply_column_update(Sj, delta, r_local)
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-bcd", it, x=x)
-            obj = distributed_objective(dist, r_local, x, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it
-    return False, done + s_eff
+    #: vector terms in the modelled per-iteration flops 2 mu (off + k)
+    flop_terms = 3
+    y = ytil = None
 
+    def __init__(self, dist, pen, x, r_local):
+        self.dist, self.pen, self.z, self.ztil = dist, pen, x, r_local
 
-def _sa_outer_fp(
-    dist, pen, Y, G, R, blocks, widths, offsets,
-    x, r_local, done, max_iter, record_every, term, history, memo=None,
-):
-    """fp-tolerant fused inner loop: one prefix Gram GEMV per iteration.
+    def tables(self, R, widths):
+        k = len(widths)
+        return (R[:, 0].copy(), np.ones(k), np.ones(k), np.zeros(k),
+                np.full((k, k), -1.0))
 
-    The correction sum ``sum_{t<j} G_{j,t} dz_t`` is applied as a single
-    ``G[sl_j, :off] @ dz_all[:off]`` against the stacked update history,
-    and residual updates scatter the block's CSC range directly
-    (bincount accumulation) — BLAS/bincount re-associate the reductions
-    (<= 1e-9 relative drift); the modelled flops charged are identical
-    to the exact loop.
-    """
-    s_eff = len(blocks)
-    account = dist.comm.account_flops
-    if max(widths) == 1:
-        # the scalar loop is already GEMV-free; both parity modes share it
-        return _sa_inner_scalar(
-            dist, pen, Y, G, R, blocks, offsets,
-            x, r_local, done, max_iter, record_every, term, history,
-        )
-    dz_all = np.zeros(int(offsets[-1]))
-    any_nz = False
-    m_loc = r_local.shape[0]
-    Ycsc = sparse_columns(Y)
-    if Ycsc is not None:
-        Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
-    for j in range(s_eff):
-        sl_j = slice(offsets[j], offsets[j + 1])
-        rho = R[sl_j, 0].copy()
-        off = offsets[j]
-        if off and any_nz:
-            rho += G[sl_j, :off] @ dz_all[:off]
-        account(
-            FIXED_SUBPROBLEM_FLOPS
-            + 10.0 * float(widths[j]) ** 3
-            + 2.0 * widths[j] * (offsets[j] + 3),
-            "fixed",
-        )
-        v = largest_eigenvalue_cached(G[sl_j, sl_j], memo)
-        if v > 0.0:
-            eta = 1.0 / v
-            cur = x[blocks[j]].copy()
-            g = cur - eta * rho
-            new = pen.prox_block(g, eta, blocks[j])
-            delta = new - cur
-        else:
-            delta = np.zeros(widths[j])
-        nz = bool(np.any(delta))
-        any_nz = any_nz or nz
-        dz_all[sl_j] = delta
-        x[blocks[j]] += delta
-        if nz:
-            if Ycsc is not None:
-                upd, nnz_blk = csc_range_matvec(
-                    Yp, Yi, Yd, offsets[j], offsets[j + 1], delta, m_loc
-                )
-                account(2.0 * nnz_blk, "blas1")
-                if upd is not None:
-                    r_local += upd
-            else:
-                dist.apply_column_update(Y[:, sl_j], delta, r_local)
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-bcd", it, x=x)
-            obj = distributed_objective(dist, r_local, x, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it
-    return False, done + s_eff
+    def metric_at(self, it, j):
+        check_finite_iterate("sa-bcd", it, x=self.z)
+        return distributed_objective(self.dist, self.ztil, self.z, self.pen)
 
-
-def _sa_inner_scalar(
-    dist, pen, Y, G, R, blocks, offsets,
-    x, r_local, done, max_iter, record_every, term, history,
-):
-    """mu = 1 fused loop: pure-scalar recurrence + sparse column scatter.
-
-    Mirrors :func:`repro.solvers.lasso.acc._sa_acc_inner_scalar` minus
-    the momentum tables.
-    """
-    s_eff = len(blocks)
-    Gl = G.tolist()
-    R0 = R[:, 0].tolist()
-    cols = [int(b[0]) for b in blocks]
-    dvals = [0.0] * s_eff
-    Ycsc = sparse_columns(Y)
-    if Ycsc is not None:
-        Yp, Yi, Yd = Ycsc.indptr, Ycsc.indices, Ycsc.data
-    m_loc = r_local.shape[0]
-    account = dist.comm.account_flops
-    fixed = FIXED_SUBPROBLEM_FLOPS + 10.0
-    for j in range(s_eff):
-        rho = R0[j]
-        Grow = Gl[j]
-        for t in range(j):
-            d = dvals[t]
-            if d != 0.0:
-                rho += Grow[t] * d
-        account(fixed + 2.0 * (offsets[j] + 3), "fixed")
-        i = cols[j]
-        v = Grow[j]
-        if v > 0.0:
-            eta = 1.0 / v
-            cur = x[i]
-            g = cur - eta * rho
-            new = pen.prox_block(np.array([g]), eta, blocks[j])
-            delta = new[0] - cur
-        else:
-            delta = 0.0
-        dvals[j] = delta
-        x[i] += delta
-        if delta != 0.0:
-            if Ycsc is not None:
-                lo, hi = Yp[j], Yp[j + 1]
-                r_local[Yi[lo:hi]] += Yd[lo:hi] * delta
-                account(2.0 * (hi - lo), "blas1")
-            else:
-                r_local += Y[:, j] * delta
-                account(2.0 * m_loc, "blas1")
-        it = done + j + 1
-        if record_every and (it % record_every == 0 or it == max_iter):
-            check_finite_iterate("sa-bcd", it, x=x)
-            obj = distributed_objective(dist, r_local, x, pen)
-            history.record(it, obj, dist.comm)
-            if term.done(obj):
-                return True, it
-    return False, done + s_eff
+    def advance(self, j):
+        pass
 
 
 def _sa_io(dist, sampler, vectors, symmetric):
@@ -499,11 +326,9 @@ def sa_bcd(
     Same iterate sequence as :func:`bcd` for equal seeds (exact
     arithmetic); trades a factor-``s`` larger Gram/message for an
     ``s``-fold latency reduction (paper Table I). ``fast`` selects the
-    fused inner loop; with ``parity="exact"`` (default) its iterates are
-    bit-identical to the ``fast=False`` reference recurrences, while
-    ``parity="fp-tolerant"`` fuses the ``mu > 1`` correction GEMVs into
-    one prefix Gram apply per inner iteration (BLAS re-association,
-    <= 1e-9 relative iterate drift).
+    fused inner loop over the ``fast=False`` reference; ``parity`` picks
+    its contract, bit-identical (``"exact"``) or <= 1e-9 relative drift
+    (``"fp-tolerant"``; see :mod:`repro.solvers.lasso.fused`).
 
     ``pipeline``/``async_``/``tau`` pick the outer-step schedule (blocking,
     pipelined, or bounded-staleness async; see :mod:`repro.solvers.outer`).
@@ -522,22 +347,20 @@ def sa_bcd(
         A, b, penalty, comm, mu, seed, x0, max_iter, tol, checkpoint_every,
         resume_from,
     )
-    if not fast:
-        inner = _sa_outer_naive
-    elif parity == "fp-tolerant":
-        inner = _sa_outer_fp
-    else:
-        inner = _sa_outer_fast
 
-    vectors = [r_local]
-    plan, fetch, make_pipe = _sa_io(dist, sampler, vectors, symmetric_pack)
-
-    def step(p, Y, G, R, done):
-        return inner(
+    def naive(p, Y, G, R, done):
+        return _sa_outer_naive(
             dist, pen, Y, G, R, *p,
             x, r_local, done, max_iter, record_every, term, history,
-            memo=eig_memo,
         )
+
+    step = fused_step(
+        dist, pen, _IdentityMomentum(dist, pen, x, r_local), parity=parity,
+        max_iter=max_iter, record_every=record_every, term=term,
+        history=history, memo=eig_memo,
+    ) if fast else naive
+    vectors = [r_local]
+    plan, fetch, make_pipe = _sa_io(dist, sampler, vectors, symmetric_pack)
 
     converged, done = run_outer(
         depth=depth, s=s, max_iter=max_iter, resume=ck, sampler=sampler,

@@ -65,7 +65,7 @@ from repro.errors import CheckpointError, SolverError
 from repro.linalg.distmatrix import ColPartitionedMatrix, RowPartitionedMatrix
 from repro.linalg.kernels import EigMemo
 from repro.linalg.partition import Partition1D
-from repro.machine.ledger import CostSnapshot
+from repro.machine.ledger import COST_FIELDS, CostSnapshot
 from repro.machine.spec import MachineSpec
 from repro.mpi.comm import Comm
 from repro.mpi.process_backend import process_spmd_run
@@ -128,42 +128,6 @@ def _matrix_from_dict(d: dict):
             shape=tuple(c["shape"]),
         )
     return np.asarray(d["dense"], dtype=np.float64).reshape(tuple(d["shape"]))
-
-
-def _snapshot_to_dict(c: CostSnapshot) -> dict:
-    return {
-        "comm_seconds": c.comm_seconds,
-        "compute_seconds": c.compute_seconds,
-        "messages": int(c.messages),
-        "words": c.words,
-        "flops": c.flops,
-        "comm_seconds_hidden": c.comm_seconds_hidden,
-        "stale_seconds": c.stale_seconds,
-        "max_staleness": int(c.max_staleness),
-        "retries": int(c.retries),
-        "timeouts": int(c.timeouts),
-        "recoveries": int(c.recoveries),
-        "respawns": int(c.respawns),
-        "replayed_iterations": int(c.replayed_iterations),
-    }
-
-
-def _snapshot_from_dict(d: dict) -> CostSnapshot:
-    return CostSnapshot(
-        comm_seconds=float(d.get("comm_seconds", 0.0)),
-        compute_seconds=float(d.get("compute_seconds", 0.0)),
-        messages=int(d.get("messages", 0)),
-        words=float(d.get("words", 0.0)),
-        flops=float(d.get("flops", 0.0)),
-        comm_seconds_hidden=float(d.get("comm_seconds_hidden", 0.0)),
-        stale_seconds=float(d.get("stale_seconds", 0.0)),
-        max_staleness=int(d.get("max_staleness", 0)),
-        retries=int(d.get("retries", 0)),
-        timeouts=int(d.get("timeouts", 0)),
-        recoveries=int(d.get("recoveries", 0)),
-        respawns=int(d.get("respawns", 0)),
-        replayed_iterations=int(d.get("replayed_iterations", 0)),
-    )
 
 
 def _load_stream_checkpoint(source, kind: str) -> dict:
@@ -482,10 +446,10 @@ class StreamingSweep:
                     "rows_added": int(r.rows_added),
                     "rows_removed": int(r.rows_removed),
                     "labels_changed": int(r.labels_changed),
-                    "append_cost": _snapshot_to_dict(r.append_cost),
-                    "evict_cost": _snapshot_to_dict(r.evict_cost),
+                    "append_cost": r.append_cost.to_dict(),
+                    "evict_cost": r.evict_cost.to_dict(),
                     "solve_costs": [
-                        _snapshot_to_dict(c) for c in r.solve_costs
+                        c.to_dict() for c in r.solve_costs
                     ],
                 }
                 for r in self.revisions
@@ -562,10 +526,10 @@ class StreamingSweep:
                 int(r["rev"]), int(r["rows_total"]), int(r["rows_added"]),
                 rows_removed=int(r["rows_removed"]),
                 labels_changed=int(r["labels_changed"]),
-                append_cost=_snapshot_from_dict(r["append_cost"]),
-                evict_cost=_snapshot_from_dict(r["evict_cost"]),
+                append_cost=CostSnapshot.from_dict(r["append_cost"]),
+                evict_cost=CostSnapshot.from_dict(r["evict_cost"]),
                 solve_costs=[
-                    _snapshot_from_dict(c) for c in r["solve_costs"]
+                    CostSnapshot.from_dict(c) for c in r["solve_costs"]
                 ],
             )
             for r in ck["revisions"]
@@ -896,22 +860,7 @@ class StreamingSweep:
 
 
 def _cost_dict(c: CostSnapshot) -> dict:
-    return {
-        "seconds": c.seconds,
-        "comm_seconds": c.comm_seconds,
-        "compute_seconds": c.compute_seconds,
-        "comm_seconds_hidden": c.comm_seconds_hidden,
-        "stale_seconds": c.stale_seconds,
-        "max_staleness": int(c.max_staleness),
-        "messages": int(c.messages),
-        "words": c.words,
-        "flops": c.flops,
-        "retries": int(c.retries),
-        "timeouts": int(c.timeouts),
-        "recoveries": int(c.recoveries),
-        "respawns": int(c.respawns),
-        "replayed_iterations": int(c.replayed_iterations),
-    }
+    return {"seconds": c.seconds, **c.to_dict()}
 
 
 def _solve_dict(res: SolverResult) -> dict:
@@ -924,20 +873,14 @@ def _solve_dict(res: SolverResult) -> dict:
 
 
 def _sum_cost_dicts(costs: list) -> dict:
-    total = {k: 0 if k in ("messages", "retries", "timeouts", "recoveries",
-                           "respawns", "replayed_iterations",
-                           "max_staleness") else 0.0
-             for k in ("seconds", "comm_seconds", "compute_seconds",
-                       "comm_seconds_hidden", "stale_seconds",
-                       "max_staleness", "messages", "words", "flops",
-                       "retries", "timeouts", "recoveries", "respawns",
-                       "replayed_iterations")}
+    """Fold :func:`_cost_dict` entries: each counter by its combine rule,
+    ``seconds`` as the sum of the entries' own ``seconds``."""
+    total = _cost_dict(CostSnapshot.zero())
+    marks = {f.name for f in COST_FIELDS if f.metadata["watermark"]}
     for c in costs:
         for k in total:
-            if k == "max_staleness":
-                total[k] = max(total[k], c.get(k, 0))
-            else:
-                total[k] += c.get(k, 0)
+            v = c.get(k, 0)
+            total[k] = max(total[k], v) if k in marks else total[k] + v
     return total
 
 

@@ -94,7 +94,10 @@ class TestSaAccBcdParity:
 
 
 class TestSaBcdParity:
-    @pytest.mark.parametrize("mu,s", [(1, 8), (1, 32), (4, 8)])
+    """SA-BCD runs the fused loops shared with SA-accBCD under the
+    identity momentum: the same coverage as :class:`TestSaAccBcdParity`."""
+
+    @pytest.mark.parametrize("mu,s", [(1, 8), (1, 32), (4, 8), (1, 1), (3, 16)])
     def test_sparse(self, small_regression, mu, s):
         A, b, _ = small_regression
         rf = sa_bcd(A, b, LAM, mu=mu, s=s, max_iter=96, seed=2, fast=True)
@@ -105,6 +108,46 @@ class TestSaBcdParity:
         A, b, _ = dense_regression
         rf = sa_bcd(A, b, LAM, mu=2, s=16, max_iter=64, seed=9, fast=True)
         rn = sa_bcd(A, b, LAM, mu=2, s=16, max_iter=64, seed=9, fast=False)
+        _assert_same(rf, rn)
+
+    @pytest.mark.parametrize("mu,s", [(1, 16), (4, 8)])
+    def test_dense_blocks(self, dense_regression, mu, s):
+        A, b, _ = dense_regression
+        rf = sa_bcd(A, b, LAM, mu=mu, s=s, max_iter=64, seed=1, fast=True)
+        rn = sa_bcd(A, b, LAM, mu=mu, s=s, max_iter=64, seed=1, fast=False)
+        _assert_same(rf, rn)
+
+    def test_elastic_net(self, small_regression):
+        A, b, _ = small_regression
+        pen = ElasticNetPenalty(lam=0.3, scale=0.5)
+        rf = sa_bcd(A, b, pen, mu=2, s=12, max_iter=72, seed=6, fast=True)
+        rn = sa_bcd(A, b, pen, mu=2, s=12, max_iter=72, seed=6, fast=False)
+        _assert_same(rf, rn)
+
+    def test_group_lasso_blocks(self, small_regression):
+        A, b, _ = small_regression
+        n = A.shape[1]
+        pen = GroupLassoPenalty(lam=0.4, group_ids=np.arange(n) // 4)
+        rf = sa_bcd(A, b, pen, mu=2, s=8, max_iter=48, seed=2, fast=True)
+        rn = sa_bcd(A, b, pen, mu=2, s=8, max_iter=48, seed=2, fast=False)
+        _assert_same(rf, rn)
+
+    @pytest.mark.parametrize("mu", [1, 3])
+    def test_x0_and_tolerance_stop(self, small_regression, mu):
+        A, b, _ = small_regression
+        x0 = np.linspace(-0.4, 0.4, A.shape[1])
+        kw = dict(mu=mu, s=16, max_iter=400, seed=3, x0=x0, tol=1e-4)
+        rf = sa_bcd(A, b, LAM, fast=True, **kw)
+        rn = sa_bcd(A, b, LAM, fast=False, **kw)
+        assert rn.converged and rn.iterations < 400
+        _assert_same(rf, rn)
+
+    @pytest.mark.parametrize("mu", [1, 4])
+    def test_record_every_zero(self, small_regression, mu):
+        A, b, _ = small_regression
+        kw = dict(mu=mu, s=8, max_iter=50, seed=0, record_every=0)
+        rf = sa_bcd(A, b, LAM, fast=True, **kw)
+        rn = sa_bcd(A, b, LAM, fast=False, **kw)
         _assert_same(rf, rn)
 
 
@@ -149,6 +192,14 @@ class TestParityModes:
         rf = sa_acc_bcd(A, b, LAM, fast=True, parity="exact", **kw)
         _assert_same(rf, rn)
 
+    @pytest.mark.parametrize("mu,s", [(4, 8), (8, 32)])
+    def test_exact_parity_mu_gt_1_sa_bcd(self, small_regression, mu, s):
+        A, b, _ = small_regression
+        kw = dict(mu=mu, s=s, max_iter=96, seed=5)
+        rn = sa_bcd(A, b, LAM, fast=False, **kw)
+        rf = sa_bcd(A, b, LAM, fast=True, parity="exact", **kw)
+        _assert_same(rf, rn)
+
     @pytest.mark.parametrize("solver", [sa_bcd, sa_acc_bcd])
     def test_fp_tolerant_drift_bounded(self, small_regression, solver):
         A, b, _ = small_regression
@@ -185,6 +236,13 @@ class TestParityModes:
         kw = dict(mu=1, s=16, max_iter=96, seed=4)
         re_ = sa_acc_bcd(A, b, LAM, parity="exact", **kw)
         rf = sa_acc_bcd(A, b, LAM, parity="fp-tolerant", **kw)
+        _assert_same(rf, re_)
+
+    def test_fp_tolerant_mu1_shares_exact_loop_sa_bcd(self, small_regression):
+        A, b, _ = small_regression
+        kw = dict(mu=1, s=16, max_iter=96, seed=4)
+        re_ = sa_bcd(A, b, LAM, parity="exact", **kw)
+        rf = sa_bcd(A, b, LAM, parity="fp-tolerant", **kw)
         _assert_same(rf, re_)
 
     @pytest.mark.parametrize("solver", [sa_bcd, sa_acc_bcd])

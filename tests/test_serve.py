@@ -115,6 +115,27 @@ class TestTraces:
         with pytest.raises(ServeError, match="unknown tenant"):
             validate_trace([TraceEvent(0.0, "z")], known_tenants={"a"})
 
+    @pytest.mark.parametrize("field,value", [
+        ("t", "soon"), ("t", None), ("rows", "x"), ("rows", None),
+        ("rows", 2.7), ("rows", True), ("deadline", "x"),
+    ])
+    def test_load_rejects_non_numeric_fields(self, tmp_path, field, value):
+        rec = {"t": 0.0, "tenant": "a", "rows": 2, field: value}
+        p = tmp_path / "bad.jsonl"
+        p.write_text('{"t": 0.1, "tenant": "a"}\n' + json.dumps(rec) + "\n")
+        with pytest.raises(ServeError, match=rf"trace\[1\]: {field} must be"):
+            load_trace(p)
+
+    def test_validate_rows_must_be_integral(self):
+        with pytest.raises(ServeError, match="rows must be an integer"):
+            validate_trace([TraceEvent(0.0, "a", rows=2.7)])
+        with pytest.raises(ServeError, match="rows must be an integer"):
+            validate_trace([TraceEvent(0.0, "a", rows=False)])
+        ev = validate_trace([TraceEvent(0.0, "a", rows=3.0),
+                             TraceEvent(0.0, "a", rows=np.int64(2))])
+        assert [e.rows for e in ev] == [3, 2]
+        assert all(type(e.rows) is int for e in ev)
+
     def test_synthetic_trace_deterministic_and_budgeted(self):
         kw = dict(seed=7, mean_gap=0.01, rows=2, predict_frac=0.4,
                   append_budget={"a": 6, "b": 6})
